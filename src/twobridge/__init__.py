@@ -7,8 +7,9 @@ fundamental domain of the group generated by the Farey-edge reflections
 at r and at ∞, and it governs which upper-meridian-pair-preserving
 epimorphisms exist between 2-bridge link groups.  The supporting cast:
 relator words, their S/T-sequences, and the C(4)/T(4) small cancellation
-structure of the one-relator presentations, each with independent
-brute-force oracles.
+structure of the one-relator presentations.  Each formula has one
+implementation here; the independent brute-force oracles live in
+``twobridge.verification``.
 """
 
 from .slopes import (
@@ -29,7 +30,6 @@ from .slopes import (
 )
 from .words import (
     CyclicWord,
-    RelatorMethod,
     apply_automorphism,
     cyclic_equal,
     cyclic_reduce,
@@ -37,7 +37,6 @@ from .words import (
     half_relator,
     inverse_word,
     relator,
-    relator_by_line_walk,
 )
 from .seqs import (
     CyclicSequence,
@@ -59,11 +58,8 @@ from .reflections import (
     ReductionTrace,
     fold_at_pivot,
     fold_to_unit_interval,
-    is_orbit_member,
-    orbit_closure,
     reduce_to_fundamental,
     reflection_in_edge,
-    triangle_orbit_closure,
 )
 from .pieces import (
     PieceReport,

@@ -2,8 +2,9 @@
 
 Every verb prints exact rational text (never floating point); --json
 switches to a stable JSON rendering.  Answers are carried in the output,
-never in the exit status: 0 means the command ran, 2 means malformed
-input, 3 means an internal arithmetic or iteration error.
+never in the exit status: 0 means the command ran, 1 means a `verify`
+suite failed, 2 means malformed input, 3 means an internal arithmetic or
+iteration error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 
 from . import verification
 from .decide import ScanMode, has_umpp_epimorphism, is_null_homotopic, scan
-from .reflections import CapExceededError, reduce_to_fundamental
+from .reflections import CapExceededError
 from .seqs import (
     cyclic_s_sequence,
     decompose,
@@ -85,16 +86,20 @@ def _cmd_seq(args) -> int:
     return EXIT_OK
 
 
+def _trace_lines(trace) -> list[str]:
+    return [f"  {refl} -> {image}" for refl, image in trace.steps]
+
+
 def _cmd_reduce(args) -> int:
     s = parse_slope(args.s)
     r = parse_slope(args.r)
-    trace = reduce_to_fundamental(s, r)
-    lines = [f"representative = {trace.result}"]
+    verdict = is_null_homotopic(s, r)
+    rep = verdict.canonical_representative
+    lines = [f"representative = {rep}"]
     if args.trace:
-        for refl, image in trace.steps:
-            lines.append(f"  {refl} -> {image}")
-    obj = {"s": str(s), "r": str(r), "representative": str(trace.result),
-           "trace": trace.to_json_obj()}
+        lines += _trace_lines(verdict.trace)
+    obj = {"s": str(s), "r": str(r), "representative": str(rep),
+           "trace": verdict.trace.to_json_obj()}
     _emit(args, lines, obj)
     return EXIT_OK
 
@@ -107,8 +112,7 @@ def _cmd_null(args) -> int:
              f"representative = {verdict.canonical_representative}",
              f"route = {verdict.route.value}"]
     if args.trace:
-        for refl, image in verdict.trace.steps:
-            lines.append(f"  {refl} -> {image}")
+        lines += _trace_lines(verdict.trace)
     _emit(args, lines, verdict.to_json_obj())
     return EXIT_OK
 
@@ -174,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r")
     p.set_defaults(func=_cmd_seq)
 
-    p = sub.add_parser("reduce", help="fundamental-domain representative of s at r")
+    p = sub.add_parser("reduce", help="orbit representative of s at r, as null reports it")
     p.add_argument("s")
     p.add_argument("r")
     p.add_argument("--trace", action="store_true", help="print reflection steps")

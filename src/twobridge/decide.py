@@ -14,20 +14,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .reflections import ReductionTrace, classify_orbit, reduce_to_fundamental
+from .reflections import (  # Route is re-exported: verdicts carry it
+    ReductionTrace,
+    Route,
+    classify_orbit,
+    reduce_to_fundamental,
+)
 from .slopes import INFINITY, Slope, cf_expand, farey_interval
-
-
-class Route(enum.Enum):
-    """Which branch of the decision applied."""
-
-    GENERIC = "GENERIC"
-    R_INTEGER = "R_INTEGER"
-    R_INFINITY = "R_INFINITY"
-
-
-_ROUTES = {"generic": Route.GENERIC, "integer": Route.R_INTEGER,
-           "infinity": Route.R_INFINITY}
 
 
 class ScanMode(enum.Enum):
@@ -67,7 +60,7 @@ def is_null_homotopic(s: Slope, r: Slope) -> Verdict:
         answer=cls.member,
         canonical_representative=cls.representative,
         trace=cls.trace,
-        route=_ROUTES[cls.kind],
+        route=cls.route,
     )
 
 

@@ -16,8 +16,8 @@ from typing import Iterator
 from .slopes import ONE, ZERO, Slope
 from .seqs import (
     contains_cyclic_factor,
-    cyclic_s_sequence,
     decompose,
+    s_sequence,
     s_sequence_of_word,
 )
 from .words import (
@@ -417,7 +417,7 @@ def satisfies_necessary_condition(s: Slope, r: Slope) -> bool:
     d = decompose(r)
     needle_a = d.s1 + d.s2
     needle_b = d.s2 + d.s1
-    haystack = cyclic_s_sequence(s)
+    haystack = s_sequence(s)  # one rotation of CS(s) is enough to search
     if len(needle_a) > len(haystack):
         return False
     return (contains_cyclic_factor(haystack, needle_a)

@@ -11,9 +11,9 @@ around r onto its complement.
 
 from __future__ import annotations
 
-from collections import deque
+import enum
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .slopes import (
     INFINITY,
@@ -196,80 +196,20 @@ def reduce_to_fundamental(s: Slope, r: Slope) -> ReductionTrace:
     raise CapExceededError(f"reduction of {s} at {r} exceeded {MAX_FOLD_ROUNDS} rounds")
 
 
-def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
-             cap: int) -> set[tuple[int, int]]:
-    """BFS closure over (num, den) pairs, pruning beyond max(|num|, den) <= cap."""
-    gens = [g.entries() for g in generators]
-    seen: set[tuple[int, int]] = set()
-    queue: deque[tuple[int, int]] = deque()
-    for s in seeds:
-        t = (s.num, s.den)
-        if max(abs(t[0]), t[1]) <= cap and t not in seen:
-            seen.add(t)
-            queue.append(t)
-    while queue:
-        x, y = queue.popleft()
-        for a, b, c, d in gens:
-            nx = a * x + b * y
-            ny = c * x + d * y
-            if ny < 0:
-                nx, ny = -nx, -ny
-            elif ny == 0:
-                nx = 1
-            # Unimodular maps preserve coprimality, so no gcd reduction.
-            if nx > cap or nx < -cap or ny > cap:
-                continue
-            t = (nx, ny)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
+class Route(enum.Enum):
+    """Which branch of the decision applied."""
 
-
-def orbit_closure(r: Slope, seeds: Iterable[Slope], max_den: int,
-                  expansion: int = 64) -> set[Slope]:
-    """All slopes of denominator <= max_den reachable from the seeds under
-    the four reflections in the edges (∞,0), (∞,1), (r,r1), (r,r2).
-
-    Exploration is pruned once max(|numerator|, denominator) exceeds
-    expansion * max_den; the factor is an oracle-completeness parameter,
-    to be raised if a disagreement with the exact decision ever shows up.
-    """
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
-    r1, r2 = fundamental_endpoints(r)
-    gens = [
-        reflection_in_edge(INFINITY, ZERO),
-        reflection_in_edge(INFINITY, ONE),
-        reflection_in_edge(r, r1),
-        reflection_in_edge(r, r2),
-    ]
-    seen = _closure(gens, seeds, expansion * max_den)
-    return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
-
-
-def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int,
-                           expansion: int = 4) -> set[Slope]:
-    """Orbit closure under the full edge-reflection group of the
-    tessellation (generated by the reflections in the sides of the
-    triangle 0, 1, ∞), pruned like orbit_closure.
-
-    This is the oracle for the parity classification of slopes.
-    """
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
-    gens = [
-        reflection_in_edge(INFINITY, ZERO),
-        reflection_in_edge(INFINITY, ONE),
-        reflection_in_edge(ZERO, ONE),
-    ]
-    seen = _closure(gens, seeds, expansion * max_den)
-    return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
+    GENERIC = "GENERIC"
+    R_INTEGER = "R_INTEGER"
+    R_INFINITY = "R_INFINITY"
 
 
 class OrbitClassification(NamedTuple):
+    """Membership of s in Γ̂_r · {r, ∞}, the branch that decided it, the
+    orbit representative and the certifying reduction."""
+
     member: bool
-    kind: str  # "generic" | "integer" | "infinity"
+    route: Route
     representative: Slope
     trace: ReductionTrace
 
@@ -296,19 +236,15 @@ def classify_orbit(s: Slope, r: Slope) -> OrbitClassification:
             cur = refl.apply(cur)
             steps.append((refl, cur))
         trace = ReductionTrace(s, tuple(steps), rep)
-        return OrbitClassification(rep.is_infinite, "infinity", rep, trace)
+        return OrbitClassification(rep.is_infinite, Route.R_INFINITY, rep, trace)
     if r_img == ZERO or r_img == ONE:
         cls = slope_parity_class(cur)
         member = cls in (slope_parity_class(r_img), ParityClass.INFINITY)
         trace = ReductionTrace(s, tuple(steps), cur)
-        return OrbitClassification(member, "integer", parity_vertex(cls), trace)
+        return OrbitClassification(member, Route.R_INTEGER, parity_vertex(cls), trace)
     inner = reduce_to_fundamental(cur, r_img)
     steps.extend(inner.steps)
     rep = inner.result
     trace = ReductionTrace(s, tuple(steps), rep)
-    return OrbitClassification(rep.is_infinite or rep == r_img, "generic", rep, trace)
-
-
-def is_orbit_member(s: Slope, r: Slope) -> bool:
-    """Whether s lies in the Γ̂_r-orbit of {r, ∞}."""
-    return classify_orbit(s, r).member
+    member = rep.is_infinite or rep == r_img
+    return OrbitClassification(member, Route.GENERIC, rep, trace)

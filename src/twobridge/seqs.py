@@ -1,10 +1,9 @@
 """Run-length sequences of relator words and their slope-level formulas.
 
 The S-sequence of a reduced word lists the lengths of its maximal blocks
-of constant exponent sign.  For the relator of slope q/p this sequence is
-computed three independent ways (a lattice strip count, a ceiling count,
-and a floor-difference formula); the library cross-checks all three in
-debug runs and every verification suite compares them explicitly.
+of constant exponent sign.  For the relator of slope q/p it is given by a
+floor-difference formula; the verification suites compare that formula
+with two independent oracles (a ceiling count and a lattice strip count).
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .slopes import ONE, ZERO, Slope, cf_expand
-from .words import CyclicWord, is_reduced
+from .slopes import ONE, ZERO, Slope, _positive_pair, cf_expand
+from .words import CyclicWord, _least_rotation_start, is_reduced
 
 Seq = tuple[int, ...]
 
@@ -59,13 +58,7 @@ def _chr_encode(seq: Sequence[int]) -> str:
 
 
 def _canonical_rotation(terms: Seq) -> Seq:
-    n = len(terms)
-    if n < 2:
-        return terms
-    t = _chr_encode(terms)
-    dd = t + t
-    best = min(dd[i:i + n] for i in range(n))
-    i = dd.index(best)
+    i = _least_rotation_start(_chr_encode(terms))
     return terms[i:] + terms[:i]
 
 
@@ -80,6 +73,9 @@ class CyclicSequence:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.terms)
 
     def reversed(self) -> "CyclicSequence":
         return CyclicSequence(tuple(reversed(self.terms)))
@@ -106,47 +102,9 @@ def cyclic_s_sequence_of_word(v: CyclicWord) -> CyclicSequence:
     return CyclicSequence(tuple(lens))
 
 
-def _positive_pair(r: Slope) -> tuple[int, int]:
-    if r.is_infinite or r <= ZERO:
-        raise ValueError(f"positive rational slope required, got {r}")
-    return r.num, r.den
-
-
-def s_sequence_by_floor_difference(r: Slope) -> Seq:
-    """j-th term as ⌊jp/q⌋* − ⌊(j−1)p/q⌋*, j = 1..2q."""
-    q, p = _positive_pair(r)
-    fs = [(j * p - 1) // q for j in range(2 * q + 1)]  # ⌊jp/q⌋* via (n-1)//q
-    return tuple(fs[j] - fs[j - 1] for j in range(1, 2 * q + 1))
-
-
-def s_sequence_by_ceiling_count(r: Slope) -> Seq:
-    """j-th term as the number of i in 0..2p−1 with ⌈iq/p⌉* = j."""
-    q, p = _positive_pair(r)
-    counts = [0] * (2 * q)
-    for i in range(2 * p):
-        counts[(i * q) // p] += 1  # ⌈iq/p⌉* − 1 == ⌊iq/p⌋
-    return tuple(counts)
-
-
-def s_sequence_by_strip_count(r: Slope) -> Seq:
-    """j-th term as the number of steps of the lattice line walk inside the
-    horizontal strip j−1 < y < j.  Uses only additions and comparisons."""
-    q, p = _positive_pair(r)
-    counts = [0] * (2 * q)
-    strip = 0  # current strip index - 1
-    bound = p  # (strip + 1) * p, kept incrementally
-    height = 0  # i * q
-    for _ in range(2 * p):
-        while bound <= height:
-            bound += p
-            strip += 1
-        counts[strip] += 1
-        height += q
-    return tuple(counts)
-
-
 def s_sequence(r: Slope) -> Seq:
-    """S-sequence of a positive rational slope q/p (length 2q).
+    """S-sequence of a positive rational slope q/p (length 2q): the j-th
+    term is ⌊jp/q⌋* − ⌊(j−1)p/q⌋*, j = 1..2q.
 
     For 0 < r <= 1 this equals the S-sequence of the relator word of r;
     for r > 1 zero terms may appear.
@@ -154,12 +112,9 @@ def s_sequence(r: Slope) -> Seq:
     >>> s_sequence(Slope(10, 37))
     (4, 4, 4, 3, 4, 4, 3, 4, 4, 3, 4, 4, 4, 3, 4, 4, 3, 4, 4, 3)
     """
-    out = s_sequence_by_floor_difference(r)
-    if __debug__:
-        # Standing oracle: the three defining formulas must agree.
-        assert out == s_sequence_by_ceiling_count(r), r
-        assert out == s_sequence_by_strip_count(r), r
-    return out
+    q, p = _positive_pair(r)
+    fs = [(j * p - 1) // q for j in range(2 * q + 1)]  # ⌊jp/q⌋* via (n-1)//q
+    return tuple(fs[j] - fs[j - 1] for j in range(1, 2 * q + 1))
 
 
 def cyclic_s_sequence(r: Slope) -> CyclicSequence:
@@ -266,7 +221,9 @@ def _decompose_terms(terms: Seq) -> tuple[Seq, Seq]:
     return tuple(s1_parts), s2
 
 
-@lru_cache(maxsize=None)
+# Bounded: a decomposition holds O(q) terms, and callers reuse it only
+# while they work on one r (the suites and the piece catalogs).
+@lru_cache(maxsize=128)
 def decompose(r: Slope) -> Decomposition:
     """Split S(r) = (S1, S2, S1, S2) for 0 < r < 1.
 
@@ -295,37 +252,36 @@ def decompose(r: Slope) -> Decomposition:
         raise AssertionError(f"S1 must start and end with m+1 for {r}")
     if not (s2[0] == s2[-1] == m):
         raise AssertionError(f"S2 must start and end with m for {r}")
-    cyclic = CyclicSequence(s)
     for part in (s1, s2):
-        if part and count_cyclic_factor(cyclic, part) != 2:
+        if part and count_cyclic_factor(s, part) != 2:
             raise AssertionError(f"decomposition half occurs != 2 times for {r}")
     return Decomposition(s1, s2)
 
 
-def contains_cyclic_factor(haystack: CyclicSequence, needle: Seq) -> bool:
+def contains_cyclic_factor(haystack: Sequence[int], needle: Seq) -> bool:
     """Whether some rotation of the cyclic sequence starts with needle
-    (contiguous, wrap-around allowed).
+    (contiguous, wrap-around allowed).  The haystack is any one rotation:
+    a CyclicSequence or a plain sequence.
 
-    >>> contains_cyclic_factor(CyclicSequence((1, 2, 3)), (3, 1))
+    >>> contains_cyclic_factor((1, 2, 3), (3, 1))
     True
     """
     if not needle:
         raise ValueError("needle must be non-empty")
-    n = len(haystack.terms)
-    if len(needle) > n:
+    if len(needle) > len(haystack):
         raise ValueError("needle longer than haystack")
-    hay = _chr_encode(haystack.terms)
+    hay = _chr_encode(haystack)
     return _chr_encode(needle) in hay + hay[:len(needle) - 1]
 
 
-def count_cyclic_factor(haystack: CyclicSequence, needle: Seq) -> int:
-    """Number of rotations of the cyclic sequence that start with needle."""
+def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
+    """Number of rotations of the cyclic sequence that start with needle;
+    the haystack is any one rotation, as for contains_cyclic_factor."""
     if not needle:
         raise ValueError("needle must be non-empty")
-    n = len(haystack.terms)
-    if len(needle) > n:
+    if len(needle) > len(haystack):
         return 0
-    hay = _chr_encode(haystack.terms)
+    hay = _chr_encode(haystack)
     dd = hay + hay[:len(needle) - 1]
     pat = _chr_encode(needle)
     count = 0

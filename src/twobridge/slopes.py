@@ -133,8 +133,18 @@ ONE = Slope(1)
 INFINITY = Slope(1, 0)
 
 
+def _positive_pair(r: Slope) -> tuple[int, int]:
+    if r.is_infinite or r <= ZERO:
+        raise ValueError(f"positive rational slope required, got {r}")
+    return r.num, r.den
+
+
 def parse_slope(text: str) -> Slope:
-    """Parse "q/p", a bare integer, or "inf" (optional leading minus)."""
+    """Parse "q/p", a bare integer, or "inf" (optional leading minus).
+
+    Malformed text, and a slope whose lowest-terms numerator or
+    denominator exceeds INT_BOUND, raise ValueError.
+    """
     t = text.strip().replace("−", "-")
     if t.lstrip("+-") == "inf":
         return INFINITY
@@ -145,6 +155,8 @@ def parse_slope(text: str) -> Slope:
         return Slope(int(t))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed slope {text!r}") from exc
+    except OverflowError as exc:
+        raise ValueError(f"slope {text!r} exceeds the 64-bit working bound") from exc
 
 
 @dataclass(frozen=True)
@@ -308,7 +320,7 @@ def parity_vertex(cls: ParityClass) -> Slope:
     return _PARITY_VERTEX[cls]
 
 
-def farey_interval(max_den: int, include_ends: bool = True) -> list[Slope]:
+def farey_interval(max_den: int) -> list[Slope]:
     """All slopes q/p with 0 <= q/p <= 1 and p <= max_den, sorted."""
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
@@ -317,7 +329,5 @@ def farey_interval(max_den: int, include_ends: bool = True) -> list[Slope]:
         for q in range(0, p + 1):
             if math.gcd(q, p) == 1:
                 out.append(Slope(q, p))
-    if not include_ends:
-        out = [s for s in out if ZERO < s < ONE]
     out.sort()
     return out

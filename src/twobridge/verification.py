@@ -4,13 +4,18 @@ Each check sweeps every slope inside an explicit denominator bound and
 validates a family of exact identities; the defaults are the bounds used
 by the acceptance tests.  Checks return a CheckResult rather than
 raising, so the CLI can print one pass/fail line per suite.
+
+The independent oracles live here and nowhere on the library's hot path:
+the Riley and line-walk relator words, the ceiling and strip counts of
+the S-sequence, and breadth-first orbit closures.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .decide import connection_criterion, has_umpp_epimorphism, \
     homotopy_representative, is_null_homotopic, scan
@@ -24,19 +29,13 @@ from .pieces import (
     small_cancellation_report,
     symmetrize,
 )
-from .reflections import (
-    orbit_closure,
-    reduce_to_fundamental,
-    triangle_orbit_closure,
-)
+from .reflections import Reflection, reduce_to_fundamental, reflection_in_edge
 from .seqs import (
     CyclicSequence,
+    Seq,
     count_cyclic_factor,
     decompose,
     s_sequence,
-    s_sequence_by_ceiling_count,
-    s_sequence_by_floor_difference,
-    s_sequence_by_strip_count,
     s_sequence_of_word,
     t_sequence,
 )
@@ -46,6 +45,7 @@ from .slopes import (
     ZERO,
     ParityClass,
     Slope,
+    _positive_pair,
     cf_expand,
     cf_value,
     farey_interval,
@@ -55,15 +55,155 @@ from .slopes import (
     slope_parity_class,
 )
 from .words import (
-    RelatorMethod,
     apply_automorphism,
     cyclic_equal,
     half_relator,
     inverse_word,
     is_cyclically_alternating,
     relator,
-    relator_by_line_walk,
 )
+
+
+# --- Oracles: independent re-derivations that the suites compare against.
+
+def relator_by_riley(r: Slope) -> str:
+    """Relator word of a slope in (0,1] by Riley's construction:
+    a · û · (middle letter) · û⁻¹, with û the half relator."""
+    q, p = _positive_pair(r)
+    hat = half_relator(r)
+    if p % 2:
+        middle = "b" if q % 2 == 0 else "B"
+    else:
+        middle = "A"
+    return "a" + hat + middle + inverse_word(hat)
+
+
+def relator_by_line_walk(r: Slope) -> str:
+    """Relator word read directly off the lattice line walk.
+
+    Walks the segment of slope q/p from x = 0 to x = 2p, emitting a letter
+    at each vertical lattice line and toggling the sign at each horizontal
+    one.  Uses only comparisons and additions, making it an independent
+    cross-check of the closed-form relator.  Accepts any positive
+    rational slope.
+    """
+    q, p = _positive_pair(r)
+    out = []
+    crossed = 0  # horizontal lattice lines y = 1.. passed so far
+    negative = False
+    bound = 0  # (crossed + 1) * p, kept incrementally
+    height = 0  # i * q
+    for i in range(2 * p):
+        while bound + p <= height:
+            bound += p
+            crossed += 1
+            negative = not negative
+        if i & 1:
+            out.append("B" if negative else "b")
+        else:
+            out.append("A" if negative else "a")
+        height += q
+    return "".join(out)
+
+
+def s_sequence_by_ceiling_count(r: Slope) -> Seq:
+    """j-th term as the number of i in 0..2p−1 with ⌈iq/p⌉* = j."""
+    q, p = _positive_pair(r)
+    counts = [0] * (2 * q)
+    for i in range(2 * p):
+        counts[(i * q) // p] += 1  # ⌈iq/p⌉* − 1 == ⌊iq/p⌋
+    return tuple(counts)
+
+
+def s_sequence_by_strip_count(r: Slope) -> Seq:
+    """j-th term as the number of steps of the lattice line walk inside the
+    horizontal strip j−1 < y < j.  Uses only additions and comparisons."""
+    q, p = _positive_pair(r)
+    counts = [0] * (2 * q)
+    strip = 0  # current strip index - 1
+    bound = p  # (strip + 1) * p, kept incrementally
+    height = 0  # i * q
+    for _ in range(2 * p):
+        while bound <= height:
+            bound += p
+            strip += 1
+        counts[strip] += 1
+        height += q
+    return tuple(counts)
+
+
+def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
+             cap: int) -> set[tuple[int, int]]:
+    """BFS closure over (num, den) pairs, pruning beyond max(|num|, den) <= cap."""
+    gens = [g.entries() for g in generators]
+    seen: set[tuple[int, int]] = set()
+    queue: deque[tuple[int, int]] = deque()
+    for s in seeds:
+        t = (s.num, s.den)
+        if max(abs(t[0]), t[1]) <= cap and t not in seen:
+            seen.add(t)
+            queue.append(t)
+    while queue:
+        x, y = queue.popleft()
+        for a, b, c, d in gens:
+            nx = a * x + b * y
+            ny = c * x + d * y
+            if ny < 0:
+                nx, ny = -nx, -ny
+            elif ny == 0:
+                nx = 1
+            # Unimodular maps preserve coprimality, so no gcd reduction.
+            if nx > cap or nx < -cap or ny > cap:
+                continue
+            t = (nx, ny)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return seen
+
+
+def orbit_closure(r: Slope, seeds: Iterable[Slope], max_den: int,
+                  expansion: int = 64) -> set[Slope]:
+    """All slopes of denominator <= max_den reachable from the seeds under
+    the four reflections in the edges (∞,0), (∞,1), (r,r1), (r,r2).
+
+    Exploration is pruned once max(|numerator|, denominator) exceeds
+    expansion * max_den; the factor is an oracle-completeness parameter,
+    to be raised if a disagreement with the exact decision ever shows up.
+    """
+    if max_den < 1:
+        raise ValueError("max_den must be >= 1")
+    r1, r2 = fundamental_endpoints(r)
+    gens = [
+        reflection_in_edge(INFINITY, ZERO),
+        reflection_in_edge(INFINITY, ONE),
+        reflection_in_edge(r, r1),
+        reflection_in_edge(r, r2),
+    ]
+    seen = _closure(gens, seeds, expansion * max_den)
+    return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
+
+
+def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int,
+                           expansion: int = 4) -> set[Slope]:
+    """Orbit closure under the full edge-reflection group of the
+    tessellation (generated by the reflections in the sides of the
+    triangle 0, 1, ∞), pruned like orbit_closure.
+
+    This is the oracle for the parity classification of slopes.
+    """
+    if max_den < 1:
+        raise ValueError("max_den must be >= 1")
+    gens = [
+        reflection_in_edge(INFINITY, ZERO),
+        reflection_in_edge(INFINITY, ONE),
+        reflection_in_edge(ZERO, ONE),
+    ]
+    seen = _closure(gens, seeds, expansion * max_den)
+    return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
+
+
+# --- Suites.
 
 
 @dataclass
@@ -146,21 +286,21 @@ def check_worked_examples() -> CheckResult:
 
 
 def check_word_generators(max_p: int = 300) -> CheckResult:
-    """The three relator generators and the three S-sequence formulas
-    agree; relators are alternating, cyclically reduced, never cyclically
-    equal to their own inverse, and S(relator) = S(slope) on (0,1]."""
+    """The relator word and the S-sequence formula agree with their two
+    oracles each; relators are alternating, cyclically reduced, never
+    cyclically equal to their own inverse, and S(relator) = S(slope) on
+    (0,1]."""
     f = _Failures()
     for r in _unit_fractions(max_p):
-        u_riley = relator(r, RelatorMethod.RILEY)
-        u_ceil = relator(r, RelatorMethod.CEIL)
+        u = relator(r)
+        u_riley = relator_by_riley(r)
         u_walk = relator_by_line_walk(r)
-        if not f.expect(u_riley == u_ceil == u_walk, f"relator generators at {r}"):
+        if not f.expect(u == u_riley == u_walk, f"relator generators at {r}"):
             continue
-        u = u_ceil
         ok = (len(u) == 2 * r.den and is_cyclically_alternating(u)
               and not cyclic_equal(u, inverse_word(u)))
         f.expect(ok, f"relator structure at {r}")
-        s_floor = s_sequence_by_floor_difference(r)
+        s_floor = s_sequence(r)
         s_count = s_sequence_by_ceiling_count(r)
         s_strip = s_sequence_by_strip_count(r)
         f.expect(s_floor == s_count == s_strip, f"S-sequence formulas at {r}")
@@ -432,19 +572,6 @@ def check_automorphism_shift(max_s_den: int = 100) -> CheckResult:
     f.expect(apply_automorphism(relator(ZERO), "a", "B") == relator(ONE),
              "shift at 0")
     return f.result("automorphism-shift")
-
-
-#: The named suites in canonical order, with the bound names they accept.
-ALL_CHECKS: list[tuple[str, Callable[..., CheckResult]]] = [
-    ("worked-examples", check_worked_examples),
-    ("word-generators-agree", check_word_generators),
-    ("sequence-theorems", check_sequence_theorems),
-    ("small-cancellation", check_small_cancellation),
-    ("decision-oracle", check_decision_oracle),
-    ("criterion-equivalences", check_criterion_equivalences),
-    ("special-slopes", check_special_slopes),
-    ("automorphism-shift", check_automorphism_shift),
-]
 
 
 def run_all(max_den: int = 20) -> list[CheckResult]:

@@ -8,11 +8,9 @@ generators, ``str.swapcase`` is formal inversion of a letter.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Iterator
 
-from .slopes import ONE, ZERO, Slope
+from .slopes import ONE, ZERO, Slope, _positive_pair
 
 ALPHABET = "aAbB"
 
@@ -22,30 +20,11 @@ _ORDER = str.maketrans("aAbB", "\x00\x01\x02\x03")
 _REDUCIBLE_PAIRS = ("aA", "Aa", "bB", "Bb")
 
 
-class RelatorMethod(enum.Enum):
-    """The two closed-form generators of the relator word."""
-
-    RILEY = "RILEY"
-    CEIL = "CEIL"
-
-
 def letter(generator: str, exponent: int) -> str:
     """One of the four letters, e.g. letter("b", -1) == "B"."""
     if generator not in ("a", "b") or exponent not in (1, -1):
         raise ValueError(f"no letter for ({generator!r}, {exponent})")
     return generator if exponent == 1 else generator.upper()
-
-
-def invert_letter(ch: str) -> str:
-    return ch.swapcase()
-
-
-def generator_of(ch: str) -> str:
-    return ch.lower()
-
-
-def exponent_of(ch: str) -> int:
-    return 1 if ch.islower() else -1
 
 
 def inverse_word(w: str) -> str:
@@ -88,15 +67,19 @@ def free_reduce(w: str) -> str:
     return "".join(out)
 
 
+def _least_rotation_start(t: str) -> int:
+    """Index at which the least rotation of t begins (the first such index)."""
+    n = len(t)
+    if n < 2:
+        return 0
+    dd = t + t
+    return dd.index(min(dd[i:i + n] for i in range(n)))
+
+
 def canonical_rotation(w: str) -> str:
     """The rotation of w that is least in the order a < a⁻¹ < b < b⁻¹."""
-    n = len(w)
-    if n < 2:
-        return w
-    t = w.translate(_ORDER)
-    dd = t + t
-    best = min(dd[i:i + n] for i in range(n))
-    return (w + w)[dd.index(best):][:n]
+    i = _least_rotation_start(w.translate(_ORDER))
+    return w[i:] + w[:i]
 
 
 @dataclass(frozen=True)
@@ -121,12 +104,6 @@ class CyclicWord:
 
     def __str__(self) -> str:
         return f"({self.letters or '1'})"
-
-    def rotations(self) -> Iterator[str]:
-        w = self.letters
-        dd = w + w
-        for i in range(max(1, len(w))):
-            yield dd[i:i + len(w)]
 
     def inverse(self) -> "CyclicWord":
         return CyclicWord(inverse_word(self.letters))
@@ -158,12 +135,6 @@ def cyclic_equal(w1: str, w2: str, allow_inverse: bool = False) -> bool:
     return False
 
 
-def _positive_pair(r: Slope) -> tuple[int, int]:
-    if r.is_infinite or r <= ZERO:
-        raise ValueError(f"positive rational slope required, got {r}")
-    return r.num, r.den
-
-
 def half_relator(r: Slope) -> str:
     """Word read off the open segment from (0,0) to (p,q), 0 < q/p <= 1.
 
@@ -184,25 +155,7 @@ def half_relator(r: Slope) -> str:
     return "".join(out)
 
 
-def _relator_riley(q: int, p: int) -> str:
-    hat = half_relator(Slope(q, p))
-    if p % 2:
-        middle = "b" if q % 2 == 0 else "B"
-    else:
-        middle = "A"
-    return "a" + hat + middle + inverse_word(hat)
-
-
-def _relator_ceiling(q: int, p: int) -> str:
-    # Letter i (0-based) is a/b as i is even/odd, negated when ⌊iq/p⌋ is odd.
-    out = []
-    for i in range(2 * p):
-        gen = "b" if i & 1 else "a"
-        out.append(gen.upper() if (i * q) // p & 1 else gen)
-    return "".join(out)
-
-
-def relator(r: Slope, method: RelatorMethod = RelatorMethod.CEIL) -> str:
+def relator(r: Slope) -> str:
     """The relator word of slope r: the single relator presenting the
     2-bridge link group of slope r on the upper meridian pair.
 
@@ -220,38 +173,11 @@ def relator(r: Slope, method: RelatorMethod = RelatorMethod.CEIL) -> str:
     q, p = _positive_pair(r)
     if r > ONE:
         raise ValueError(f"relator is generated only for slopes in (0,1], got {r}")
-    if method is RelatorMethod.RILEY:
-        return _relator_riley(q, p)
-    if method is RelatorMethod.CEIL:
-        return _relator_ceiling(q, p)
-    raise ValueError(f"unknown relator method {method!r}")
-
-
-def relator_by_line_walk(r: Slope) -> str:
-    """Relator word read directly off the lattice line walk.
-
-    Walks the segment of slope q/p from x = 0 to x = 2p, emitting a letter
-    at each vertical lattice line and toggling the sign at each horizontal
-    one.  Uses only comparisons and additions, making it an independent
-    cross-check of the closed-form generators.  Accepts any positive
-    rational slope.
-    """
-    q, p = _positive_pair(r)
+    # Letter i (0-based) is a/b as i is even/odd, negated when ⌊iq/p⌋ is odd.
     out = []
-    crossed = 0  # horizontal lattice lines y = 1.. passed so far
-    negative = False
-    bound = 0  # (crossed + 1) * p, kept incrementally
-    height = 0  # i * q
     for i in range(2 * p):
-        while bound + p <= height:
-            bound += p
-            crossed += 1
-            negative = not negative
-        if i & 1:
-            out.append("B" if negative else "b")
-        else:
-            out.append("A" if negative else "a")
-        height += q
+        gen = "b" if i & 1 else "a"
+        out.append(gen.upper() if (i * q) // p & 1 else gen)
     return "".join(out)
 
 

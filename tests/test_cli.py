@@ -60,6 +60,18 @@ def test_reduce_verb(capsys):
     assert "(1,0;6,-1) -> inf" in out
 
 
+def test_reduce_agrees_with_null_for_any_r(capsys):
+    # reduce folds r into [0, 1] the same way null does, so r outside
+    # (0, 1) is answered, with null's representative and trace.
+    for s, r in (("1/3", "7/3"), ("1/3", "2/1")):
+        code, reduced, _ = run_cli(capsys, "reduce", s, r, "--trace")
+        assert code == 0, (s, r)
+        code, null, _ = run_cli(capsys, "null", s, r, "--trace")
+        assert code == 0
+        null_lines = null.splitlines()
+        assert reduced.splitlines() == null_lines[1:2] + null_lines[3:], (s, r)
+
+
 def test_scan_verb(capsys):
     code, out, _ = run_cli(capsys, "scan", "1/3", "--max-den", "6")
     assert code == 0
@@ -94,6 +106,16 @@ def test_malformed_input_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "word", "3/2")
     assert code == 2
+
+
+def test_oversized_slope_exits_2(capsys):
+    code, out, err = run_cli(capsys, "null", "1/99999999999999999999", "1/3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    # A slope inside the bound whose computation leaves it is still an
+    # internal error.
+    code, _, err = run_cli(capsys, "epi", str(2**63 - 1), "1/3")
+    assert code == 3 and err.startswith("internal error:")
 
 
 def test_verify_small(capsys):

@@ -9,12 +9,10 @@ from twobridge.reflections import (
     classify_orbit,
     fold_at_pivot,
     fold_to_unit_interval,
-    is_orbit_member,
-    orbit_closure,
     reduce_to_fundamental,
     reflection_in_edge,
-    triangle_orbit_closure,
 )
+from twobridge.verification import orbit_closure, triangle_orbit_closure
 
 
 def test_reflection_examples():
@@ -158,7 +156,7 @@ def test_orbit_closure_complete_at_every_bound():
         for bound in (4, 9, 17, 25):
             orbit = orbit_closure(r, {r, INFINITY}, bound)
             for s in farey_interval(bound) + [INFINITY]:
-                assert (s in orbit) == is_orbit_member(s, r), (s, r, bound)
+                assert (s in orbit) == classify_orbit(s, r).member, (s, r, bound)
 
 
 def test_classification_partitions_like_orbits():
@@ -178,22 +176,24 @@ def test_classification_partitions_like_orbits():
 
 
 def test_is_orbit_member_examples():
-    assert is_orbit_member(INFINITY, INFINITY)
-    assert not is_orbit_member(ZERO, INFINITY)
-    assert not is_orbit_member(ONE, ZERO)
-    assert is_orbit_member(Slope(1, 6), Slope(1, 3))
-    assert is_orbit_member(Slope(2), ZERO)
-    assert is_orbit_member(INFINITY, Slope(5))
+    def member(s, r):
+        return classify_orbit(s, r).member
+
+    assert member(INFINITY, INFINITY)
+    assert not member(ZERO, INFINITY)
+    assert not member(ONE, ZERO)
+    assert member(Slope(1, 6), Slope(1, 3))
+    assert member(Slope(2), ZERO)
+    assert member(INFINITY, Slope(5))
 
 
 def test_orbit_membership_for_unnormalized_r():
     # Both slopes transported by the same ∞-fixing reflections.
     for num, den in ((1, 6), (1, 2), (2, 7), (5, 3)):
         s = Slope(num, den)
-        assert (is_orbit_member(-s, Slope(-1, 3))
-                == is_orbit_member(s, Slope(1, 3)))
-        assert (is_orbit_member(s + 2, Slope(7, 3))
-                == is_orbit_member(s, Slope(1, 3)))
+        base = classify_orbit(s, Slope(1, 3)).member
+        assert classify_orbit(-s, Slope(-1, 3)).member == base
+        assert classify_orbit(s + 2, Slope(7, 3)).member == base
 
 
 def test_triangle_orbit_contains_vertex_translates():

@@ -17,12 +17,10 @@ from twobridge.seqs import (
     floor_star,
     format_sequence,
     s_sequence,
-    s_sequence_by_ceiling_count,
-    s_sequence_by_floor_difference,
-    s_sequence_by_strip_count,
     s_sequence_of_word,
     t_sequence,
 )
+from twobridge.verification import s_sequence_by_ceiling_count, s_sequence_by_strip_count
 from twobridge.words import cyclic_reduce, relator
 
 
@@ -63,13 +61,14 @@ def test_s_sequence_examples():
 
 
 def test_s_sequence_formulas_agree():
-    for p in range(1, 80):
-        for q in range(1, 3 * p):
-            if math.gcd(q, p) == 1:
-                r = Slope(q, p)
-                assert (s_sequence_by_floor_difference(r)
-                        == s_sequence_by_ceiling_count(r)
-                        == s_sequence_by_strip_count(r))
+    small = [Slope(q, p) for p in range(1, 80) for q in range(1, 3 * p)
+             if math.gcd(q, p) == 1]
+    large = [Slope(30001, 100000), Slope(3001, 10007), Slope(99999, 100000),
+             Slope(10007, 3001)]
+    for r in small + large:
+        assert (s_sequence(r)
+                == s_sequence_by_ceiling_count(r)
+                == s_sequence_by_strip_count(r)), r
 
 
 def test_cyclic_s_sequence_of_word():

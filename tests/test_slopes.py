@@ -21,7 +21,7 @@ from twobridge.slopes import (
     schubert_equivalent,
     slope_parity_class,
 )
-from twobridge.reflections import triangle_orbit_closure
+from twobridge.verification import triangle_orbit_closure
 
 
 def test_slope_normalization():
@@ -66,6 +66,10 @@ def test_parse_and_format():
         parse_slope("3/4/5")
     with pytest.raises(ValueError):
         parse_slope("x")
+    # The 64-bit bound applies to the slope in lowest terms.
+    assert parse_slope(f"{2**64}/{2**65}") == Slope(1, 2)
+    with pytest.raises(ValueError):
+        parse_slope("1/99999999999999999999")
 
 
 @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from twobridge.slopes import INFINITY, ONE, ZERO, Slope
 from twobridge.words import (
     CyclicWord,
-    RelatorMethod,
     apply_automorphism,
     canonical_rotation,
     cyclic_equal,
@@ -22,9 +21,9 @@ from twobridge.words import (
     letter,
     parse_word,
     relator,
-    relator_by_line_walk,
 )
 from twobridge.seqs import s_sequence_of_word
+from twobridge.verification import relator_by_line_walk, relator_by_riley
 
 words = st.text(alphabet="aAbB", max_size=40)
 
@@ -64,16 +63,15 @@ def test_relator_examples():
 
 
 def test_relator_generators_agree():
-    for p in range(1, 61):
-        for q in range(1, p + 1):
-            if math.gcd(q, p) == 1:
-                r = Slope(q, p)
-                u = relator(r, RelatorMethod.RILEY)
-                assert u == relator(r, RelatorMethod.CEIL)
-                assert u == relator_by_line_walk(r)
-                assert len(u) == 2 * p
-                assert is_cyclically_alternating(u)
-                assert is_cyclically_reduced(u)
+    small = [Slope(q, p) for p in range(1, 61) for q in range(1, p + 1)
+             if math.gcd(q, p) == 1]
+    for r in small + [Slope(3001, 10007)]:
+        u = relator(r)
+        assert u == relator_by_riley(r), r
+        assert u == relator_by_line_walk(r), r
+        assert len(u) == 2 * r.den
+        assert is_cyclically_alternating(u)
+        assert is_cyclically_reduced(u)
 
 
 def test_relator_never_cyclically_equal_to_inverse():
