@@ -65,8 +65,6 @@ from .pieces import (
     PieceReport,
     SymmetrizedRelators,
     initial_letter_spread,
-    is_piece,
-    maximal_piece_products,
     min_piece_factorization,
     piece_product_catalog,
     satisfies_necessary_condition,

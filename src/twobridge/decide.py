@@ -12,15 +12,14 @@ orbit.  (Nothing here is claimed about unrestricted epimorphisms.)
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .reflections import (  # Route is re-exported: verdicts carry it
-    ReductionTrace,
+from .reflections import (  # Route and Verdict are re-exported: verdicts carry them
     Route,
+    Verdict,
     classify_orbit,
     reduce_to_fundamental,
 )
-from .slopes import INFINITY, Slope, cf_expand, farey_interval
+from .slopes import INFINITY, ZERO, Slope, cf_expand, farey_interval
 
 
 class ScanMode(enum.Enum):
@@ -28,49 +27,21 @@ class ScanMode(enum.Enum):
     EPIMORPHISM = "epi"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a null-homotopy decision, with its certificate."""
-
-    s: Slope
-    r: Slope
-    answer: bool
-    canonical_representative: Slope
-    trace: ReductionTrace
-    route: Route
-
-    def to_json_obj(self) -> dict:
-        return {
-            "s": str(self.s),
-            "r": str(self.r),
-            "answer": self.answer,
-            "representative": str(self.canonical_representative),
-            "route": self.route.value,
-            "trace": self.trace.to_json_obj(),
-        }
-
-
 def is_null_homotopic(s: Slope, r: Slope) -> Verdict:
     """Decide whether the loop of slope s bounds in the complement of the
     link of slope r, i.e. whether s ∈ Γ̂_r · {r, ∞}."""
-    cls = classify_orbit(s, r)
-    return Verdict(
-        s=s,
-        r=r,
-        answer=cls.member,
-        canonical_representative=cls.representative,
-        trace=cls.trace,
-        route=cls.route,
-    )
+    return classify_orbit(s, r)
 
 
 def has_umpp_epimorphism(s: Slope, r: Slope) -> bool:
     """Whether an upper-meridian-pair-preserving epimorphism exists from
     the link group of slope s onto the link group of slope r: exactly
-    when s or s+1 lies in the Γ̂_r-orbit of {r, ∞}."""
-    if classify_orbit(s, r).member:
+    when s or s+1 lies in the Γ̂_r-orbit of {r, ∞}.  The orbit is invariant
+    under x ↦ x + 2, so s - 1 stands in for s + 1 when s > 0; the shifted
+    slope then stays inside the 64-bit bound."""
+    if classify_orbit(s, r).answer:
         return True
-    return classify_orbit(s + 1, r).member
+    return classify_orbit(s - 1 if s > ZERO else s + 1, r).answer
 
 
 def homotopy_representative(s: Slope, r: Slope) -> Slope:
@@ -100,5 +71,5 @@ def scan(r: Slope, max_den: int, mode: ScanMode = ScanMode.NULLHOMOTOPY) -> list
         raise ValueError("max_den must be >= 1")
     candidates = farey_interval(max_den) + [INFINITY]
     if mode is ScanMode.NULLHOMOTOPY:
-        return [s for s in candidates if classify_orbit(s, r).member]
+        return [s for s in candidates if classify_orbit(s, r).answer]
     return [s for s in candidates if has_umpp_epimorphism(s, r)]

@@ -108,20 +108,6 @@ def symmetrize(r: Slope) -> SymmetrizedRelators:
     return SymmetrizedRelators(r)
 
 
-def is_piece(w: str, relators: SymmetrizedRelators) -> bool:
-    """Exhaustive prefix scan: w is a piece iff at least two distinct
-    elements of the symmetrized set start with it."""
-    if not w:
-        raise ValueError("pieces are nonempty")
-    hits = 0
-    for element in relators:
-        if element.startswith(w):
-            hits += 1
-            if hits == 2:
-                return True
-    return False
-
-
 def _piece_length_table(cw: CyclicWord, relators: SymmetrizedRelators) -> list[int]:
     w = cw.letters
     dd = w + w
@@ -159,35 +145,6 @@ def min_piece_factorization(cw: CyclicWord, relators: SymmetrizedRelators) -> in
     return int(best)
 
 
-def _max_product_table(table: list[int], n_pieces: int) -> list[int]:
-    """For each start, the length of the longest product of <= n pieces
-    beginning there (capped at one full turn of the cyclic word)."""
-    n = len(table)
-    best = table[:]
-    for _ in range(n_pieces - 1):
-        best = [
-            min(n, table[i] + best[(i + table[i]) % n]) if table[i] else 0
-            for i in range(n)
-        ]
-    return best
-
-
-def maximal_piece_products(r: Slope, n_pieces: int) -> list[Span]:
-    """All maximal n-piece subwords of the relator's cyclic word.
-
-    One span per starting position of the canonical rotation: the longest
-    subword beginning there that is a product of n pieces (so that no
-    extension keeping the same start is again one).
-    """
-    if n_pieces < 1:
-        raise ValueError("n_pieces must be >= 1")
-    relators = symmetrize(r)
-    cw = cyclic_reduce(relators.relator)
-    table = _piece_length_table(cw, relators)
-    best = _max_product_table(table, n_pieces)
-    return [(i, best[i]) for i in range(len(best))]
-
-
 @dataclass(frozen=True)
 class CatalogItem:
     """One family of the closed-form maximal n-piece catalog."""
@@ -210,12 +167,12 @@ def piece_product_catalog(r: Slope, n_pieces: int) -> list[CatalogItem]:
     Families are listed by the position of their initial letter; spans are
     reported in the canonical rotation of the relator's cyclic word.
     Expanding all families reproduces exactly the spans found by the
-    brute-force enumeration.
+    brute-force enumeration (``verification.maximal_piece_products``).
     """
     if n_pieces not in (1, 2, 3):
         raise ValueError("catalog covers n = 1, 2, 3 only")
     n1, n2 = _relator_block_lengths(r)
-    u = symmetrize(r).relator
+    u = relator(r)
     total = len(u)
     # Offset of the canonical rotation inside the relator.
     delta = (u + u).index(canonical_rotation(u))
@@ -315,7 +272,8 @@ def t4_by_triples(relators: SymmetrizedRelators) -> bool:
     freely reduced without cancellation.  (T(4) constrains the cycle
     lengths 3 <= n < 4, so triples are the whole condition.)
 
-    Cubic in |R|; intended for small denominators only.
+    Cubic in |R|: the brute-force oracle for t4_structural, run by the
+    verification suites for small denominators only.
     """
     elems = relators._sorted
     inv = {w: inverse_word(w) for w in elems}
@@ -358,32 +316,21 @@ class PieceReport:
         }
 
 
-#: Denominator bound for running the cubic T(4) triple check inside the
-#: report; beyond it the structural argument alone is used.
-T4_TRIPLE_BOUND = 12
-
-
 def small_cancellation_report(r: Slope) -> PieceReport:
     """Verify C(4) and T(4) for the symmetrized relator set of r.
 
     C(4) is checked by minimal piece factorization of the relator's
-    cyclic word and of its inverse; T(4) by the structural criterion,
-    reinforced by the brute-force triple check for small denominators.
+    cyclic word (its inverse has the same minimum, since the inverse of a
+    piece is a piece); T(4) by the structural criterion.  The maximal
+    n-piece subwords come from the closed-form catalog.
     """
     relators = symmetrize(r)
-    cw = cyclic_reduce(relators.relator)
-    min_pieces = min(
-        min_piece_factorization(cw, relators),
-        min_piece_factorization(cw.inverse(), relators),
-    )
-    t4 = t4_structural(r)
-    if r.den <= T4_TRIPLE_BOUND:
-        t4 = t4 and t4_by_triples(relators)
-    catalog = {n: tuple(maximal_piece_products(r, n)) for n in (1, 2, 3)}
+    min_pieces = min_piece_factorization(cyclic_reduce(relators.relator), relators)
+    catalog = {n: tuple(catalog_spans(r, n)) for n in (1, 2, 3)}
     return PieceReport(
         relator_slope=r,
         c4=min_pieces >= 4,
-        t4=t4,
+        t4=t4_structural(r),
         min_cyclic_pieces=min_pieces,
         maximal_piece_catalog=catalog,
     )

@@ -21,7 +21,6 @@ from .slopes import (
     ZERO,
     ParityClass,
     Slope,
-    _guard,
     fundamental_endpoints,
     parity_vertex,
     slope_parity_class,
@@ -41,7 +40,8 @@ class Reflection:
     """Integer Möbius involution x ↦ (a·x + b)/(c·x + d) with det = -1.
 
     Normalized so the first nonzero entry of (a, c) is positive; ∞ is
-    handled projectively.
+    handled projectively.  Entries are unbounded (near 2·p² for a fold at
+    a pivot of denominator p); the slopes they produce keep Slope's bound.
     """
 
     a: int
@@ -61,7 +61,6 @@ class Reflection:
             object.__setattr__(self, "b", b)
             object.__setattr__(self, "c", c)
             object.__setattr__(self, "d", d)
-        _guard(a, b, c, d)
 
     def apply(self, s: Slope) -> Slope:
         """Exact projective action; c·s + d = 0 maps to ∞."""
@@ -85,21 +84,26 @@ def reflection_in_edge(alpha: Slope, beta: Slope) -> Reflection:
     return Reflection(t, -2 * q * q2, 2 * p * p2, -t)
 
 
+#: One step of a reduction: a reflection and the image it produced.
+Step = tuple[Reflection, Slope]
+
+
 def _mat_mul(m, n):
     a, b, c, d = m
     e, f, g, h = n
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def fold_to_unit_interval(s: Slope) -> tuple[Slope, list[Reflection]]:
+def fold_to_unit_interval(s: Slope) -> tuple[Slope, list[Step]]:
     """Fold a rational slope into [0, 1] by reflections fixing ∞.
 
-    Returns the image and the reflections realizing it, in application
-    order.  ∞ is returned unchanged with an empty list.
+    Returns the image and the steps realizing it, in application order,
+    each a reflection with the image it produced.  ∞ is returned
+    unchanged with no steps.
     """
     if s.is_infinite:
         return s, []
-    steps: list[Reflection] = []
+    steps: list[Step] = []
     cur = s
     while cur < ZERO or cur > ONE:
         if cur < ZERO:
@@ -108,17 +112,18 @@ def fold_to_unit_interval(s: Slope) -> tuple[Slope, list[Reflection]]:
             n = (cur.num + cur.den) // (2 * cur.den)  # ⌊(s+1)/2⌋
             refl = reflection_in_edge(INFINITY, Slope(n))  # x ↦ 2n - x
         cur = refl.apply(cur)
-        steps.append(refl)
+        steps.append((refl, cur))
     return cur, steps
 
 
-def fold_at_pivot(s: Slope, r: Slope) -> tuple[Slope, list[Reflection]]:
+def fold_at_pivot(s: Slope, r: Slope) -> tuple[Slope, list[Step]]:
     """Push s out of the open gap (r1, r2) by reflections fixing r.
 
     Conjugates r to ∞ by the unimodular map with columns (q, p), (q1, p1);
     the gap becomes the complement of a unit strip, where the fold is
     plain integer arithmetic.  Needs s in (r1, r2) with s != r; the image
-    lies outside the open gap (possibly at an endpoint or at ∞).
+    lies outside the open gap (possibly at an endpoint or at ∞).  Returns
+    the image and the steps, as fold_to_unit_interval does.
     """
     r1, r2 = fundamental_endpoints(r)
     if s.is_infinite or s == r or not (r1 < s < r2):
@@ -135,13 +140,12 @@ def fold_at_pivot(s: Slope, r: Slope) -> tuple[Slope, list[Reflection]]:
     # Fold t into [-1, 0] with reflections about integer axes.
     k, rem = divmod(tx, 2 * ty)
     axes = [k] if rem <= ty else [k + 1, 0]
-    steps: list[Reflection] = []
+    steps: list[Step] = []
     cur = s
     for m in axes:
-        raw = _mat_mul(_mat_mul(co, (-1, 2 * m, 0, 1)), adj)
-        refl = Reflection(*raw)
+        refl = Reflection(*_mat_mul(_mat_mul(co, (-1, 2 * m, 0, 1)), adj))
         cur = refl.apply(cur)
-        steps.append(refl)
+        steps.append((refl, cur))
     if not cur.is_infinite and r1 < cur < r2:
         raise AssertionError(f"pivot fold failed to leave the gap: {s} -> {cur}")
     return cur, steps
@@ -152,7 +156,7 @@ class ReductionTrace:
     """A slope, the reflections applied to it, and where it landed."""
 
     start: Slope
-    steps: tuple[tuple[Reflection, Slope], ...]
+    steps: tuple[Step, ...]
     result: Slope
 
     def to_json_obj(self) -> dict:
@@ -177,22 +181,16 @@ def reduce_to_fundamental(s: Slope, r: Slope) -> ReductionTrace:
     if not (ZERO < r < ONE):
         raise ValueError(f"reduction needs 0 < r < 1, got {r}")
     r1, r2 = fundamental_endpoints(r)
-    steps: list[tuple[Reflection, Slope]] = []
+    steps: list[Step] = []
     cur = s
     for _ in range(MAX_FOLD_ROUNDS):
         if cur.is_infinite or cur == r or (ZERO <= cur <= r1) or (r2 <= cur <= ONE):
             return ReductionTrace(s, tuple(steps), cur)
         if cur < ZERO or cur > ONE:
-            cur, refls = fold_to_unit_interval(cur)
+            cur, more = fold_to_unit_interval(cur)
         else:
-            cur, refls = fold_at_pivot(cur, r)
-        pos = len(steps)
-        img = steps[pos - 1][1] if pos else s
-        for refl in refls:
-            img = refl.apply(img)
-            steps.append((refl, img))
-        if img != cur:
-            raise AssertionError("fold bookkeeping out of step")
+            cur, more = fold_at_pivot(cur, r)
+        steps.extend(more)
     raise CapExceededError(f"reduction of {s} at {r} exceeded {MAX_FOLD_ROUNDS} rounds")
 
 
@@ -204,17 +202,30 @@ class Route(enum.Enum):
     R_INFINITY = "R_INFINITY"
 
 
-class OrbitClassification(NamedTuple):
-    """Membership of s in Γ̂_r · {r, ∞}, the branch that decided it, the
-    orbit representative and the certifying reduction."""
+class Verdict(NamedTuple):
+    """Outcome of a null-homotopy decision: whether s lies in Γ̂_r · {r, ∞},
+    the orbit representative, the certifying reduction and the branch
+    that decided it."""
 
-    member: bool
-    route: Route
-    representative: Slope
+    s: Slope
+    r: Slope
+    answer: bool
+    canonical_representative: Slope
     trace: ReductionTrace
+    route: Route
+
+    def to_json_obj(self) -> dict:
+        return {
+            "s": str(self.s),
+            "r": str(self.r),
+            "answer": self.answer,
+            "representative": str(self.canonical_representative),
+            "route": self.route.value,
+            "trace": self.trace.to_json_obj(),
+        }
 
 
-def classify_orbit(s: Slope, r: Slope) -> OrbitClassification:
+def classify_orbit(s: Slope, r: Slope) -> Verdict:
     """Decide s ∈ Γ̂_r · {r, ∞} together with the certifying reduction.
 
     r is first folded into [0, 1] by reflections fixing ∞ (legitimate:
@@ -225,26 +236,23 @@ def classify_orbit(s: Slope, r: Slope) -> OrbitClassification:
     of Γ̂_r and compared against {r, ∞}.
     """
     r_img, fold = fold_to_unit_interval(r)
-    steps: list[tuple[Reflection, Slope]] = []
+    steps: list[Step] = []
     cur = s
-    for refl in fold:
+    for refl, _ in fold:  # the images are those of r; s is carried along
         cur = refl.apply(cur)
         steps.append((refl, cur))
     if r.is_infinite:
         rep, more = fold_to_unit_interval(cur)
-        for refl in more:
-            cur = refl.apply(cur)
-            steps.append((refl, cur))
+        steps.extend(more)
         trace = ReductionTrace(s, tuple(steps), rep)
-        return OrbitClassification(rep.is_infinite, Route.R_INFINITY, rep, trace)
+        return Verdict(s, r, rep.is_infinite, rep, trace, Route.R_INFINITY)
     if r_img == ZERO or r_img == ONE:
         cls = slope_parity_class(cur)
         member = cls in (slope_parity_class(r_img), ParityClass.INFINITY)
         trace = ReductionTrace(s, tuple(steps), cur)
-        return OrbitClassification(member, Route.R_INTEGER, parity_vertex(cls), trace)
+        return Verdict(s, r, member, parity_vertex(cls), trace, Route.R_INTEGER)
     inner = reduce_to_fundamental(cur, r_img)
     steps.extend(inner.steps)
     rep = inner.result
     trace = ReductionTrace(s, tuple(steps), rep)
-    member = rep.is_infinite or rep == r_img
-    return OrbitClassification(member, Route.GENERIC, rep, trace)
+    return Verdict(s, r, rep.is_infinite or rep == r_img, rep, trace, Route.GENERIC)

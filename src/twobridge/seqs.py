@@ -51,14 +51,29 @@ def s_sequence_of_word(v: str) -> Seq:
     return tuple(len(run) for run in _RUNS.findall(v))
 
 
-def _chr_encode(seq: Sequence[int]) -> str:
-    # Terms are small non-negative integers; a throwaway string encoding
-    # lets rotation and factor searches run on C string primitives.
-    return "".join(map(chr, seq))
+def _rank_codes(terms: Sequence[int]) -> dict[int, str]:
+    # Terms of any size coded as characters of their rank, so rotation and
+    # factor searches run on C string primitives; ranks keep the order of
+    # the terms, so least rotations are unchanged.
+    return {v: chr(i) for i, v in enumerate(sorted(set(terms)))}
+
+
+def _encode(seq: Sequence[int], codes: dict[int, str]) -> str:
+    return "".join(map(codes.__getitem__, seq))
+
+
+def _coded_search(haystack: Sequence[int], needle: Seq) -> tuple[str, str] | None:
+    """The coded haystack, wrapped by len(needle) - 1 terms, and the coded
+    needle; None when a needle term is absent from the haystack."""
+    codes = _rank_codes(haystack)
+    if not codes.keys() >= set(needle):
+        return None
+    hay = _encode(haystack, codes)
+    return hay + hay[:len(needle) - 1], _encode(needle, codes)
 
 
 def _canonical_rotation(terms: Seq) -> Seq:
-    i = _least_rotation_start(_chr_encode(terms))
+    i = _least_rotation_start(_encode(terms, _rank_codes(terms)))
     return terms[i:] + terms[:i]
 
 
@@ -270,8 +285,8 @@ def contains_cyclic_factor(haystack: Sequence[int], needle: Seq) -> bool:
         raise ValueError("needle must be non-empty")
     if len(needle) > len(haystack):
         raise ValueError("needle longer than haystack")
-    hay = _chr_encode(haystack)
-    return _chr_encode(needle) in hay + hay[:len(needle) - 1]
+    coded = _coded_search(haystack, needle)
+    return coded is not None and coded[1] in coded[0]
 
 
 def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
@@ -281,9 +296,10 @@ def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
         raise ValueError("needle must be non-empty")
     if len(needle) > len(haystack):
         return 0
-    hay = _chr_encode(haystack)
-    dd = hay + hay[:len(needle) - 1]
-    pat = _chr_encode(needle)
+    coded = _coded_search(haystack, needle)
+    if coded is None:
+        return 0
+    dd, pat = coded
     count = 0
     pos = dd.find(pat)
     while pos != -1:

@@ -196,7 +196,9 @@ class ContinuedFraction:
         return "[" + ",".join(str(m) for m in self.terms) + "]"
 
 
-@lru_cache(maxsize=None)
+# Bounded above the ~1,400 distinct slopes that the criterion-6 suite
+# cycles through at its full bound, so its sweep keeps its hits.
+@lru_cache(maxsize=2048)
 def cf_expand(r: Slope) -> ContinuedFraction:
     """Canonical continued fraction of a positive rational slope.
 
@@ -250,7 +252,7 @@ def schubert_equivalent(r: Slope, r2: Slope) -> bool:
         or (q * q2 - 1) % p == 0 or (q * q2 + 1) % p == 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2048)  # bounded as cf_expand is
 def fundamental_endpoints(r: Slope) -> tuple[Slope, Slope]:
     """Endpoints r1 < r < r2 of the gap around r in its fundamental domain.
 

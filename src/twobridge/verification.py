@@ -7,7 +7,8 @@ raising, so the CLI can print one pass/fail line per suite.
 
 The independent oracles live here and nowhere on the library's hot path:
 the Riley and line-walk relator words, the ceiling and strip counts of
-the S-sequence, and breadth-first orbit closures.
+the S-sequence, breadth-first orbit closures, the exhaustive piece scan
+and n-piece enumeration, and the calls to the cubic T(4) triple check.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ from typing import Iterable
 from .decide import connection_criterion, has_umpp_epimorphism, \
     homotopy_representative, is_null_homotopic, scan
 from .pieces import (
+    Span,
+    SymmetrizedRelators,
+    _piece_length_table,
     catalog_spans,
     initial_letter_spread,
-    is_piece,
-    maximal_piece_products,
+    min_piece_factorization,
     piece_product_catalog,
     satisfies_necessary_condition,
     small_cancellation_report,
     symmetrize,
+    t4_by_triples,
 )
 from .reflections import Reflection, reduce_to_fundamental, reflection_in_edge
 from .seqs import (
@@ -57,6 +61,7 @@ from .slopes import (
 from .words import (
     apply_automorphism,
     cyclic_equal,
+    cyclic_reduce,
     half_relator,
     inverse_word,
     is_cyclically_alternating,
@@ -203,7 +208,55 @@ def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int,
     return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
 
 
+def is_piece(w: str, relators: SymmetrizedRelators) -> bool:
+    """Exhaustive prefix scan: w is a piece iff at least two distinct
+    elements of the symmetrized set start with it."""
+    if not w:
+        raise ValueError("pieces are nonempty")
+    hits = 0
+    for element in relators:
+        if element.startswith(w):
+            hits += 1
+            if hits == 2:
+                return True
+    return False
+
+
+def _max_product_table(table: list[int], n_pieces: int) -> list[int]:
+    """For each start, the length of the longest product of <= n pieces
+    beginning there (capped at one full turn of the cyclic word)."""
+    n = len(table)
+    best = table[:]
+    for _ in range(n_pieces - 1):
+        best = [
+            min(n, table[i] + best[(i + table[i]) % n]) if table[i] else 0
+            for i in range(n)
+        ]
+    return best
+
+
+def maximal_piece_products(r: Slope, n_pieces: int) -> list[Span]:
+    """All maximal n-piece subwords of the relator's cyclic word, by
+    enumeration: the oracle for the closed-form catalog.
+
+    One span per starting position of the canonical rotation: the longest
+    subword beginning there that is a product of n pieces (so that no
+    extension keeping the same start is again one).
+    """
+    if n_pieces < 1:
+        raise ValueError("n_pieces must be >= 1")
+    relators = symmetrize(r)
+    cw = cyclic_reduce(relators.relator)
+    table = _piece_length_table(cw, relators)
+    best = _max_product_table(table, n_pieces)
+    return [(i, best[i]) for i in range(len(best))]
+
+
 # --- Suites.
+
+#: Denominator bound for the cubic T(4) triple check in the
+#: small-cancellation suite; beyond it the structural argument stands alone.
+T4_TRIPLE_BOUND = 12
 
 
 @dataclass
@@ -400,8 +453,11 @@ def check_small_cancellation(max_p: int = 50,
         f.expect(len(relators) == 4 * p, f"symmetrized size at {r}")
         report = small_cancellation_report(r)
         f.expect(report.c4, f"C(4) at {r}")
-        f.expect(report.t4, f"T(4) at {r}")
-        f.expect(report.min_cyclic_pieces >= 4, f"min pieces at {r}")
+        f.expect(report.t4 and (p > T4_TRIPLE_BOUND or t4_by_triples(relators)),
+                 f"T(4) at {r}")
+        inverse = cyclic_reduce(inverse_word(relators.relator))
+        f.expect(report.min_cyclic_pieces >= 4 and report.min_cyclic_pieces
+                 == min_piece_factorization(inverse, relators), f"min pieces at {r}")
         f.expect(initial_letter_spread(r), f"initial letters at {r}")
         for n in (1, 2, 3):
             brute = sorted(maximal_piece_products(r, n))

@@ -1,6 +1,7 @@
 import json
 
 from twobridge.cli import main
+from twobridge.slopes import Slope
 
 
 def run_cli(capsys, *argv):
@@ -112,10 +113,38 @@ def test_oversized_slope_exits_2(capsys):
     code, out, err = run_cli(capsys, "null", "1/99999999999999999999", "1/3")
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
-    # A slope inside the bound whose computation leaves it is still an
-    # internal error.
-    code, _, err = run_cli(capsys, "epi", str(2**63 - 1), "1/3")
-    assert code == 3 and err.startswith("internal error:")
+    # A slope inside the bound is answered even where a fold matrix
+    # leaves the bound (x ↦ 2n - x with 2n = 2^63).
+    code, out, err = run_cli(capsys, "epi", str(2**63 - 1), "1/3")
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, "epi", "1", "1/3")[1]
+
+
+def test_large_in_bound_slopes_are_answered(capsys):
+    # Near 2^61 denominators: the pivot fold's matrix has entries near
+    # 2^120, far beyond the bound that every slope keeps.
+    s = "1520283919093591604/2459871053643326447"
+    r = "1100087778366101931/1779979416004714189"
+    code, out, err = run_cli(capsys, "--json", "null", s, r)
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["answer"] is False
+    cur = Slope(*map(int, s.split("/")))
+    for step in obj["trace"]["steps"]:
+        a, b, c, d = step["matrix"]
+        cur = Slope(a * cur.num + b * cur.den, c * cur.num + d * cur.den)
+        assert str(cur) == step["image"]
+    assert str(cur) == obj["representative"] == obj["trace"]["result"]
+    code, out, _ = run_cli(capsys, "null", str(2**63 - 1), "1/3")
+    assert code == 0 and "null-homotopic = false" in out
+
+
+def test_seq_of_large_terms(capsys):
+    # S(1/2000000) = (2000000, 2000000): terms beyond any character code.
+    code, out, err = run_cli(capsys, "seq", "1/2000000")
+    assert code == 0 and err == ""
+    assert "CS = ((2000000,2000000))" in out
+    assert "S2 = (2000000)" in out
 
 
 def test_verify_small(capsys):

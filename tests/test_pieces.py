@@ -6,8 +6,6 @@ from twobridge.slopes import ONE, Slope, ZERO
 from twobridge.pieces import (
     catalog_spans,
     initial_letter_spread,
-    is_piece,
-    maximal_piece_products,
     min_piece_factorization,
     piece_product_catalog,
     satisfies_necessary_condition,
@@ -16,6 +14,7 @@ from twobridge.pieces import (
     t4_by_triples,
     t4_structural,
 )
+from twobridge.verification import is_piece, maximal_piece_products
 from twobridge.words import cyclic_reduce, half_relator, inverse_word
 
 
@@ -77,12 +76,13 @@ def test_min_piece_factorization_examples():
 
 
 def test_maximal_piece_products_match_catalog():
-    for p in range(2, 26):
-        for q in range(1, p):
-            if math.gcd(q, p) == 1:
-                r = Slope(q, p)
-                for n in (1, 2, 3):
-                    assert sorted(maximal_piece_products(r, n)) == catalog_spans(r, n)
+    # The report takes its catalog from the closed form, so the closed form
+    # is also checked beyond the suites' p <= 50.
+    slopes = [Slope(q, p) for p in range(2, 26) for q in range(1, p)
+              if math.gcd(q, p) == 1]
+    for r in slopes + [Slope(55, 89), Slope(7, 300), Slope(101, 300)]:
+        for n in (1, 2, 3):
+            assert sorted(maximal_piece_products(r, n)) == catalog_spans(r, n), (r, n)
 
 
 def test_catalog_family_counts():

@@ -62,8 +62,9 @@ def test_fold_to_unit_interval():
     img, steps = fold_to_unit_interval(Slope(7, 3))
     assert img == Slope(1, 3)
     cur = Slope(7, 3)
-    for refl in steps:
+    for refl, image in steps:
         cur = refl.apply(cur)
+        assert image == cur
     assert cur == img
 
     assert fold_to_unit_interval(Slope(-2, 5))[0] == Slope(2, 5)
@@ -77,7 +78,8 @@ def test_fold_to_unit_interval():
 def test_fold_at_pivot():
     img, steps = fold_at_pivot(Slope(1, 6), Slope(1, 3))
     assert img == INFINITY
-    assert [s.entries() for s in steps] == [(1, 0, 6, -1)]
+    assert [(refl.entries(), image) for refl, image in steps] == [
+        ((1, 0, 6, -1), INFINITY)]
     with pytest.raises(ValueError):
         fold_at_pivot(Slope(1, 2), Slope(1, 3))  # r2 boundary not in open gap
     with pytest.raises(ValueError):
@@ -104,8 +106,9 @@ def test_fold_at_pivot_leaves_gap():
                     assert img.is_infinite or not (r1 < img < r2)
                     assert len(steps) <= 2
                     cur = s
-                    for refl in steps:
+                    for refl, image in steps:
                         cur = refl.apply(cur)
+                        assert image == cur
                     assert cur == img
 
 
@@ -156,7 +159,7 @@ def test_orbit_closure_complete_at_every_bound():
         for bound in (4, 9, 17, 25):
             orbit = orbit_closure(r, {r, INFINITY}, bound)
             for s in farey_interval(bound) + [INFINITY]:
-                assert (s in orbit) == classify_orbit(s, r).member, (s, r, bound)
+                assert (s in orbit) == classify_orbit(s, r).answer, (s, r, bound)
 
 
 def test_classification_partitions_like_orbits():
@@ -166,7 +169,7 @@ def test_classification_partitions_like_orbits():
               for q in range(0, p + 1) if math.gcd(q, p) == 1] + [INFINITY]
     by_rep = {}
     for s in slopes:
-        by_rep.setdefault(classify_orbit(s, r).representative, set()).add(s)
+        by_rep.setdefault(classify_orbit(s, r).canonical_representative, set()).add(s)
     for rep, members in by_rep.items():
         orbit = orbit_closure(r, {rep}, bound)
         assert members <= orbit
@@ -177,7 +180,7 @@ def test_classification_partitions_like_orbits():
 
 def test_is_orbit_member_examples():
     def member(s, r):
-        return classify_orbit(s, r).member
+        return classify_orbit(s, r).answer
 
     assert member(INFINITY, INFINITY)
     assert not member(ZERO, INFINITY)
@@ -191,9 +194,9 @@ def test_orbit_membership_for_unnormalized_r():
     # Both slopes transported by the same ∞-fixing reflections.
     for num, den in ((1, 6), (1, 2), (2, 7), (5, 3)):
         s = Slope(num, den)
-        base = classify_orbit(s, Slope(1, 3)).member
-        assert classify_orbit(-s, Slope(-1, 3)).member == base
-        assert classify_orbit(s + 2, Slope(7, 3)).member == base
+        base = classify_orbit(s, Slope(1, 3)).answer
+        assert classify_orbit(-s, Slope(-1, 3)).answer == base
+        assert classify_orbit(s + 2, Slope(7, 3)).answer == base
 
 
 def test_triangle_orbit_contains_vertex_translates():

@@ -134,6 +134,12 @@ def test_contains_cyclic_factor_examples():
     assert contains_cyclic_factor(cs, d.s1 + d.s2)
     assert not contains_cyclic_factor(cyclic_s_sequence(Slope(2, 7)), (3, 3))
     assert contains_cyclic_factor(CyclicSequence((1, 2, 3)), (3, 1))
+    # Terms beyond any character code; a needle term absent from the
+    # haystack means no occurrence.
+    assert count_cyclic_factor((2000000, 2000000), (2000000,)) == 2
+    assert contains_cyclic_factor((2000000, 2000001), (2000001, 2000000))
+    assert count_cyclic_factor((4, 4, 3), (5,)) == 0
+    assert not contains_cyclic_factor((4, 4, 3), (4, 5))
     with pytest.raises(ValueError):
         contains_cyclic_factor(CyclicSequence((1, 2)), ())
     with pytest.raises(ValueError):
