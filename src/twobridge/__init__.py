@@ -56,10 +56,10 @@ from .reflections import (
     CapExceededError,
     Reflection,
     ReductionTrace,
-    fold_at_pivot,
-    fold_to_unit_interval,
+    fold,
     reduce_to_fundamental,
     reflection_in_edge,
+    vertex_frame,
 )
 from .pieces import (
     PieceReport,
@@ -77,7 +77,6 @@ from .decide import (
     Verdict,
     connection_criterion,
     has_umpp_epimorphism,
-    homotopy_representative,
     is_null_homotopic,
     scan,
 )

@@ -17,7 +17,6 @@ from .reflections import (  # Route and Verdict are re-exported: verdicts carry 
     Route,
     Verdict,
     classify_orbit,
-    reduce_to_fundamental,
 )
 from .slopes import INFINITY, ZERO, Slope, cf_expand, farey_interval
 
@@ -42,13 +41,6 @@ def has_umpp_epimorphism(s: Slope, r: Slope) -> bool:
     if classify_orbit(s, r).answer:
         return True
     return classify_orbit(s - 1 if s > ZERO else s + 1, r).answer
-
-
-def homotopy_representative(s: Slope, r: Slope) -> Slope:
-    """The unique slope in I1 ∪ I2 ∪ {∞, r} whose loop is freely homotopic
-    to the loop of slope s in the complement of the link of slope r
-    (0 < r < 1)."""
-    return reduce_to_fundamental(s, r).result
 
 
 def connection_criterion(s: Slope, r: Slope) -> bool:

@@ -3,16 +3,19 @@
 Edges of the tessellation join slopes q/p and q'/p' with |qp' - q'p| = 1.
 The reflection in such an edge is the unique determinant -1 integer
 involution fixing both endpoints; its matrix is
-(qp' + q'p, -2qq'; 2pp', -(qp' + q'p)).  The group generated by the edge
-reflections at ∞ is infinite dihedral (folding the line into [0,1]), and
-for a pivot slope r the edge reflections at r fold the gap (r1, r2)
-around r onto its complement.
+(qp' + q'p, -2qq'; 2pp', -(qp' + q'p)).  The edge reflections at a vertex
+v (∞, or a slope in (0, 1)) form an infinite dihedral group.  A frame, a
+unimodular map taking ∞ to v, turns them into t ↦ 2m - t, and one fold
+in that frame carries any slope onto the frame's image of [-1, 0]: [0, 1]
+at ∞, the complement of the gap (r1, r2) at r.  Alternating the folds at
+∞ and at r reduces a slope into the fundamental set of Γ̂_r.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import cycle
 from typing import NamedTuple
 
 from .slopes import (
@@ -26,13 +29,14 @@ from .slopes import (
     slope_parity_class,
 )
 
-#: Defensive iteration bound for the fundamental-domain reduction; the
-#: alternating fold provably terminates, so hitting this is a bug.
+#: Bound on the folds that move s in one fundamental-domain reduction.  The
+#: alternating fold terminates, but near the cusps 0 and 1 it takes one
+#: fold per step of a parabolic, so long cusp reductions hit this bound.
 MAX_FOLD_ROUNDS = 10000
 
 
 class CapExceededError(RuntimeError):
-    """Internal iteration cap exceeded (indicates an implementation bug)."""
+    """A reduction reached MAX_FOLD_ROUNDS folds without landing."""
 
 
 @dataclass(frozen=True)
@@ -88,66 +92,62 @@ def reflection_in_edge(alpha: Slope, beta: Slope) -> Reflection:
 Step = tuple[Reflection, Slope]
 
 
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+#: A vertex frame: a unimodular matrix (a, b; c, d) taking ∞ to the
+#: vertex and [-1, 0] onto the closed arc that a fold at the vertex lands in.
+Frame = tuple[int, int, int, int]
 
 
-def fold_to_unit_interval(s: Slope) -> tuple[Slope, list[Step]]:
-    """Fold a rational slope into [0, 1] by reflections fixing ∞.
+def vertex_frame(v: Slope) -> Frame:
+    """The frame of the vertex v, which must be ∞ or lie in (0, 1).
 
-    Returns the image and the steps realizing it, in application order,
-    each a reflection with the image it produced.  ∞ is returned
-    unchanged with no steps.
+    At ∞ it is x ↦ -x, taking [-1, 0] onto [0, 1].  At v = q/p with
+    fundamental endpoints v1 = q1/p1 < v < v2 its columns are (q, p) and
+    (q1, p1), so ∞ ↦ v, 0 ↦ v1 and -1 ↦ v2, and [-1, 0] goes onto the
+    complement of the gap (v1, v2).  Any other v raises ValueError.
     """
-    if s.is_infinite:
+    if v.is_infinite:
+        return (-1, 0, 0, 1)
+    v1, _ = fundamental_endpoints(v)
+    return (v.num, v1.num, v.den, v1.den)
+
+
+def _pull(s: Slope, frame: Frame) -> tuple[int, int]:
+    """frame⁻¹·s as a pair (x, y) with y >= 0; y = 0 exactly at the vertex.
+
+    Uses the adjugate, whose overall ±det factor cancels in x/y.
+    """
+    a, b, c, d = frame
+    x = d * s.num - b * s.den
+    y = a * s.den - c * s.num
+    return (-x, -y) if y < 0 else (x, y)
+
+
+def fold(s: Slope, frame: Frame) -> tuple[Slope, list[Step]]:
+    """Fold s about the vertex frame·∞ onto frame·[-1, 0].
+
+    In the frame's coordinate t = frame⁻¹·s the reflections fixing the
+    vertex are t ↦ 2m - t, and one divmod picks the axes that carry t into
+    [-1, 0]: m = k, or m = k + 1 and then 0.  Returns the image and the
+    steps in application order, each a reflection with the image it
+    produced.  s comes back with no steps when it is the vertex or already
+    lies on the arc.
+    """
+    tx, ty = _pull(s, frame)
+    if ty == 0 or -ty <= tx <= 0:
         return s, []
-    steps: list[Step] = []
-    cur = s
-    while cur < ZERO or cur > ONE:
-        if cur < ZERO:
-            refl = reflection_in_edge(INFINITY, ZERO)  # x ↦ -x
-        else:
-            n = (cur.num + cur.den) // (2 * cur.den)  # ⌊(s+1)/2⌋
-            refl = reflection_in_edge(INFINITY, Slope(n))  # x ↦ 2n - x
-        cur = refl.apply(cur)
-        steps.append((refl, cur))
-    return cur, steps
-
-
-def fold_at_pivot(s: Slope, r: Slope) -> tuple[Slope, list[Step]]:
-    """Push s out of the open gap (r1, r2) by reflections fixing r.
-
-    Conjugates r to ∞ by the unimodular map with columns (q, p), (q1, p1);
-    the gap becomes the complement of a unit strip, where the fold is
-    plain integer arithmetic.  Needs s in (r1, r2) with s != r; the image
-    lies outside the open gap (possibly at an endpoint or at ∞).  Returns
-    the image and the steps, as fold_to_unit_interval does.
-    """
-    r1, r2 = fundamental_endpoints(r)
-    if s.is_infinite or s == r or not (r1 < s < r2):
-        raise ValueError(f"{s} is not in the open gap ({r1}, {r2}) around {r}")
-    q, p = r.num, r.den
-    q1, p1 = r1.num, r1.den
-    co = (q, q1, p, p1)  # maps ∞ ↦ r, 0 ↦ r1, -1 ↦ r2; determinant ±1
-    adj = (p1, -q1, -p, q)
-    # t = conjugated image of s (the overall ±det factor cancels).
-    tx = p1 * s.num - q1 * s.den
-    ty = -p * s.num + q * s.den
-    if ty < 0:
-        tx, ty = -tx, -ty
-    # Fold t into [-1, 0] with reflections about integer axes.
     k, rem = divmod(tx, 2 * ty)
-    axes = [k] if rem <= ty else [k + 1, 0]
+    a, b, c, d = frame
     steps: list[Step] = []
     cur = s
-    for m in axes:
-        refl = Reflection(*_mat_mul(_mat_mul(co, (-1, 2 * m, 0, 1)), adj))
+    for m in ([k] if rem <= ty else [k + 1, 0]):
+        # frame · (t ↦ 2m - t) · adj(frame), written out.
+        u = a * d + b * c + 2 * m * a * c
+        refl = Reflection(-u, 2 * a * (b + m * a), -2 * c * (d + m * c), u)
         cur = refl.apply(cur)
         steps.append((refl, cur))
-    if not cur.is_infinite and r1 < cur < r2:
-        raise AssertionError(f"pivot fold failed to leave the gap: {s} -> {cur}")
+    tx, ty = _pull(cur, frame)
+    if not -ty <= tx <= 0:
+        raise AssertionError(f"fold about {frame} failed to reach its arc: {s} -> {cur}")
     return cur, steps
 
 
@@ -173,25 +173,26 @@ class ReductionTrace:
 def reduce_to_fundamental(s: Slope, r: Slope) -> ReductionTrace:
     """Carry s into I1 ∪ I2 ∪ {∞, r} for 0 < r < 1.
 
-    Alternates folding into [0,1] (reflections fixing ∞) with folding out
-    of the gap (r1, r2) (reflections fixing r).  The landing point is the
-    unique representative of the orbit of s in the fundamental set, so it
-    does not depend on the fold order.
+    Alternates the folds about ∞ and about r until neither moves s: the
+    points both leave in place are exactly I1 ∪ I2 ∪ {∞, r}.  The landing
+    point is the unique representative of the orbit of s in that
+    fundamental set, so it does not depend on the fold order.
     """
     if not (ZERO < r < ONE):
         raise ValueError(f"reduction needs 0 < r < 1, got {r}")
-    r1, r2 = fundamental_endpoints(r)
-    steps: list[Step] = []
-    cur = s
-    for _ in range(MAX_FOLD_ROUNDS):
-        if cur.is_infinite or cur == r or (ZERO <= cur <= r1) or (r2 <= cur <= ONE):
-            return ReductionTrace(s, tuple(steps), cur)
-        if cur < ZERO or cur > ONE:
-            cur, more = fold_to_unit_interval(cur)
-        else:
-            cur, more = fold_at_pivot(cur, r)
+    at_infinity = vertex_frame(INFINITY)
+    cur, steps = fold(s, at_infinity)
+    rounds = 1 if steps else 0  # folds that moved s
+    for frame in cycle((vertex_frame(r), at_infinity)):
+        cur, more = fold(cur, frame)
+        if not more:  # the previous frame leaves cur in place too
+            break
         steps.extend(more)
-    raise CapExceededError(f"reduction of {s} at {r} exceeded {MAX_FOLD_ROUNDS} rounds")
+        rounds += 1
+        if rounds == MAX_FOLD_ROUNDS:
+            raise CapExceededError(
+                f"reduction of {s} at {r} exceeded {MAX_FOLD_ROUNDS} rounds")
+    return ReductionTrace(s, tuple(steps), cur)
 
 
 class Route(enum.Enum):
@@ -228,31 +229,24 @@ class Verdict(NamedTuple):
 def classify_orbit(s: Slope, r: Slope) -> Verdict:
     """Decide s ∈ Γ̂_r · {r, ∞} together with the certifying reduction.
 
-    r is first folded into [0, 1] by reflections fixing ∞ (legitimate:
-    they lie in Γ̂_r and fix ∞), transporting s by the same reflections.
-    Then: r = ∞ compares canonical forms under the ∞-stabilizer; integer
-    r uses the parity classes (the reflection group is then the full
-    edge-reflection group); otherwise s is reduced to the fundamental set
-    of Γ̂_r and compared against {r, ∞}.
+    r = ∞: s is folded into [0, 1] about ∞ and is a member only at ∞.
+    Integer r: Γ̂_r is the full edge-reflection group, whose orbits are the
+    parity classes, so the class of s decides, with an empty trace.  Any
+    other r alone is folded into (0, 1) about ∞, by some g that fixes ∞
+    and lies in Γ̂_r; then Γ̂_{g·r} = Γ̂_r, so s itself is reduced to the
+    fundamental set of Γ̂_{g·r} and compared against {g·r, ∞}.
     """
-    r_img, fold = fold_to_unit_interval(r)
-    steps: list[Step] = []
-    cur = s
-    for refl, _ in fold:  # the images are those of r; s is carried along
-        cur = refl.apply(cur)
-        steps.append((refl, cur))
+    at_infinity = vertex_frame(INFINITY)
     if r.is_infinite:
-        rep, more = fold_to_unit_interval(cur)
-        steps.extend(more)
+        rep, steps = fold(s, at_infinity)
         trace = ReductionTrace(s, tuple(steps), rep)
         return Verdict(s, r, rep.is_infinite, rep, trace, Route.R_INFINITY)
-    if r_img == ZERO or r_img == ONE:
-        cls = slope_parity_class(cur)
-        member = cls in (slope_parity_class(r_img), ParityClass.INFINITY)
-        trace = ReductionTrace(s, tuple(steps), cur)
+    if r.den == 1:
+        cls = slope_parity_class(s)
+        member = cls in (slope_parity_class(r), ParityClass.INFINITY)
+        trace = ReductionTrace(s, (), s)
         return Verdict(s, r, member, parity_vertex(cls), trace, Route.R_INTEGER)
-    inner = reduce_to_fundamental(cur, r_img)
-    steps.extend(inner.steps)
-    rep = inner.result
-    trace = ReductionTrace(s, tuple(steps), rep)
+    r_img, _ = fold(r, at_infinity)
+    trace = reduce_to_fundamental(s, r_img)
+    rep = trace.result
     return Verdict(s, r, rep.is_infinite or rep == r_img, rep, trace, Route.GENERIC)

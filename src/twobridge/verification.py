@@ -18,8 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .decide import connection_criterion, has_umpp_epimorphism, \
-    homotopy_representative, is_null_homotopic, scan
+from .decide import connection_criterion, has_umpp_epimorphism, is_null_homotopic, scan
 from .pieces import (
     Span,
     SymmetrizedRelators,
@@ -499,12 +498,12 @@ def check_decision_oracle(max_r_den: int = 20, max_s_den: int = 40,
         for s in test_slopes:
             verdict = is_null_homotopic(s, r)
             f.expect(verdict.answer == (s in orbit), f"oracle at s={s} r={r}")
-            rep = homotopy_representative(s, r)
+            rep = verdict.canonical_representative
             ok = (rep.is_infinite or rep == r or in_fundamental_intervals(rep, r))
             f.expect(ok, f"representative range at s={s} r={r}")
-            f.expect(homotopy_representative(rep, r) == rep,
+            f.expect(reduce_to_fundamental(rep, r).result == rep,
                      f"idempotence at s={s} r={r}")
-            trace = reduce_to_fundamental(s, r)
+            trace = verdict.trace
             img = s
             for refl, image in trace.steps:
                 img = refl.apply(img)

@@ -137,6 +137,12 @@ def test_large_in_bound_slopes_are_answered(capsys):
     assert str(cur) == obj["representative"] == obj["trace"]["result"]
     code, out, _ = run_cli(capsys, "null", str(2**63 - 1), "1/3")
     assert code == 0 and "null-homotopic = false" in out
+    # Only r is folded, never s, so s stays in bound however far r is
+    # from [0, 1]; an integer r decides by the parity class of s.
+    code, out, err = run_cli(capsys, "null", "1/3", str(2**62 + 1))
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["null-homotopic = true", "representative = 1/1",
+                                "route = R_INTEGER"]
 
 
 def test_seq_of_large_terms(capsys):

@@ -8,12 +8,11 @@ from twobridge.decide import (
     ScanMode,
     connection_criterion,
     has_umpp_epimorphism,
-    homotopy_representative,
     is_null_homotopic,
     scan,
 )
 from twobridge.pieces import satisfies_necessary_condition
-from twobridge.reflections import Reflection
+from twobridge.reflections import Reflection, reduce_to_fundamental
 
 
 def test_null_homotopy_examples():
@@ -73,11 +72,14 @@ def test_epimorphism_reflexive_and_translation_invariant():
 
 
 def test_homotopy_representative_examples():
-    assert homotopy_representative(Slope(7, 3), Slope(1, 3)) == Slope(1, 3)
-    assert homotopy_representative(INFINITY, Slope(2, 5)) == INFINITY
-    assert homotopy_representative(Slope(1, 2), Slope(1, 3)) == Slope(1, 2)
+    def representative(s, r):
+        return reduce_to_fundamental(s, r).result
+
+    assert representative(Slope(7, 3), Slope(1, 3)) == Slope(1, 3)
+    assert representative(INFINITY, Slope(2, 5)) == INFINITY
+    assert representative(Slope(1, 2), Slope(1, 3)) == Slope(1, 2)
     with pytest.raises(ValueError):
-        homotopy_representative(Slope(1, 2), Slope(3, 2))
+        representative(Slope(1, 2), Slope(3, 2))
 
 
 def test_connection_criterion_examples():

@@ -4,6 +4,9 @@ Refactors of ``reflections`` and ``pieces`` must not change any output:
 this pins a sha256 over the JSON of every decision and report on two
 fixed grids.  A digest changes only when an output changes; if that is
 intended, recompute it with ``golden_digest`` and say why in the change.
+The verdict digest leaves the traces out, so it pins the answers,
+representatives and routes: a refactor that changes only the reduction
+path re-pins ``DECISION_DIGEST`` and must leave ``VERDICT_DIGEST`` alone.
 """
 
 import hashlib
@@ -15,7 +18,8 @@ from twobridge import INFINITY, Slope, is_null_homotopic, small_cancellation_rep
 DECISION_PIVOTS = (Slope(1, 2), Slope(2, 7), Slope(5, 13), Slope(8, 21),
                    Slope(3), Slope(-4), INFINITY)
 
-DECISION_DIGEST = "338efd93ca77a1fbce44e1f9683d42c4520dea4c4a864974375c29f731699154"
+DECISION_DIGEST = "02ec2b8fb4e2f11b6f882f91366324247be25c56c573cafa81c2236f5cd93f6f"
+VERDICT_DIGEST = "c7d833dcdbff5185674e10f6ef740ad885ef6a58fe23589ece300ba8660276fb"
 REPORT_DIGEST = "2ac7685d62d72e4e2db8084cf6e5cf05e2950ded97081a6730473cc429907105"
 
 
@@ -43,6 +47,22 @@ def report_grid():
 def test_decision_outputs_unchanged():
     objs = [is_null_homotopic(s, r).to_json_obj() for s, r in decision_grid()]
     assert golden_digest(objs) == DECISION_DIGEST
+
+
+def test_verdicts_unchanged_and_traces_replay():
+    objs = []
+    for s, r in decision_grid():
+        verdict = is_null_homotopic(s, r)
+        cur = s
+        for refl, image in verdict.trace.steps:
+            a, b, c, d = refl.entries()
+            cur = Slope(a * cur.num + b * cur.den, c * cur.num + d * cur.den)
+            assert cur == image, (s, r)
+        assert verdict.trace.start == s and cur == verdict.trace.result, (s, r)
+        obj = verdict.to_json_obj()
+        del obj["trace"]
+        objs.append(obj)
+    assert golden_digest(objs) == VERDICT_DIGEST
 
 
 def test_report_outputs_unchanged():

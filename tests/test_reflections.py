@@ -5,12 +5,13 @@ from hypothesis import given, strategies as st
 
 from twobridge.slopes import INFINITY, ONE, ZERO, Slope, farey_interval, fundamental_endpoints
 from twobridge.reflections import (
+    CapExceededError,
     Reflection,
     classify_orbit,
-    fold_at_pivot,
-    fold_to_unit_interval,
+    fold,
     reduce_to_fundamental,
     reflection_in_edge,
+    vertex_frame,
 )
 from twobridge.verification import orbit_closure, triangle_orbit_closure
 
@@ -58,34 +59,44 @@ def test_edge_reflections_are_involutions(path):
     assert m.apply(m.apply(probe)) == probe
 
 
-def test_fold_to_unit_interval():
-    img, steps = fold_to_unit_interval(Slope(7, 3))
-    assert img == Slope(1, 3)
-    cur = Slope(7, 3)
+def _replays(s, img, steps):
+    cur = s
     for refl, image in steps:
         cur = refl.apply(cur)
         assert image == cur
-    assert cur == img
+    return cur == img
 
-    assert fold_to_unit_interval(Slope(-2, 5))[0] == Slope(2, 5)
-    assert fold_to_unit_interval(Slope(1, 2)) == (Slope(1, 2), [])
-    assert fold_to_unit_interval(INFINITY) == (INFINITY, [])
+
+def test_fold_to_unit_interval():
+    at_infinity = vertex_frame(INFINITY)
+    img, steps = fold(Slope(7, 3), at_infinity)
+    assert img == Slope(1, 3)
+    assert _replays(Slope(7, 3), img, steps)
+
+    assert fold(Slope(-2, 5), at_infinity)[0] == Slope(2, 5)
+    assert fold(Slope(1, 2), at_infinity) == (Slope(1, 2), [])
+    assert fold(INFINITY, at_infinity) == (INFINITY, [])
     for k in range(-20, 21):
-        img, _ = fold_to_unit_interval(Slope(3 * k + 1, 3))
-        assert ZERO <= img <= ONE
+        s = Slope(3 * k + 1, 3)
+        img, steps = fold(s, at_infinity)
+        assert ZERO <= img <= ONE and len(steps) <= 2
+        assert all(refl.apply(INFINITY) == INFINITY for refl, _ in steps)
+        assert _replays(s, img, steps)
 
 
 def test_fold_at_pivot():
-    img, steps = fold_at_pivot(Slope(1, 6), Slope(1, 3))
+    frame = vertex_frame(Slope(1, 3))
+    assert frame == (1, 0, 3, 1)  # ∞ ↦ 1/3, 0 ↦ 0, -1 ↦ 1/2
+    img, steps = fold(Slope(1, 6), frame)
     assert img == INFINITY
     assert [(refl.entries(), image) for refl, image in steps] == [
         ((1, 0, 6, -1), INFINITY)]
-    with pytest.raises(ValueError):
-        fold_at_pivot(Slope(1, 2), Slope(1, 3))  # r2 boundary not in open gap
-    with pytest.raises(ValueError):
-        fold_at_pivot(ZERO, Slope(1, 3))
-    with pytest.raises(ValueError):
-        fold_at_pivot(Slope(1, 3), Slope(1, 3))
+    # The vertex and the points off the open gap (0, 1/2) stay in place.
+    for s in (Slope(1, 3), Slope(1, 2), ZERO, Slope(3, 4), INFINITY, Slope(-5)):
+        assert fold(s, frame) == (s, [])
+    for v in (ZERO, ONE, Slope(3, 2), Slope(-1, 3)):
+        with pytest.raises(ValueError):
+            vertex_frame(v)
 
 
 def test_fold_at_pivot_leaves_gap():
@@ -95,6 +106,7 @@ def test_fold_at_pivot_leaves_gap():
                 continue
             r = Slope(q, p)
             r1, r2 = fundamental_endpoints(r)
+            frame = vertex_frame(r)
             for s_den in range(2, 25):
                 for s_num in range(1, s_den):
                     if math.gcd(s_num, s_den) != 1:
@@ -102,14 +114,11 @@ def test_fold_at_pivot_leaves_gap():
                     s = Slope(s_num, s_den)
                     if s == r or not (r1 < s < r2):
                         continue
-                    img, steps = fold_at_pivot(s, r)
+                    img, steps = fold(s, frame)
                     assert img.is_infinite or not (r1 < img < r2)
-                    assert len(steps) <= 2
-                    cur = s
-                    for refl, image in steps:
-                        cur = refl.apply(cur)
-                        assert image == cur
-                    assert cur == img
+                    assert 1 <= len(steps) <= 2
+                    assert all(refl.apply(r) == r for refl, _ in steps)
+                    assert _replays(s, img, steps)
 
 
 def test_reduce_to_fundamental_examples():
@@ -131,6 +140,16 @@ def test_reduce_trace_json():
         "steps": [{"matrix": [1, 0, 6, -1], "image": "inf"}],
         "result": "inf",
     }
+
+
+def test_reduce_round_cap_boundary():
+    # At the cusp 0 of r = 1/2 each fold moves 1/n by one step of a
+    # parabolic: 1/19999 needs 9,999 folds, one below the cap; 1/20003
+    # needs more.
+    tr = reduce_to_fundamental(Slope(1, 19999), Slope(1, 2))
+    assert len(tr.steps) == 9999 and tr.result == ONE
+    with pytest.raises(CapExceededError):
+        reduce_to_fundamental(Slope(1, 20003), Slope(1, 2))
 
 
 def test_reduce_is_idempotent():
@@ -191,12 +210,16 @@ def test_is_orbit_member_examples():
 
 
 def test_orbit_membership_for_unnormalized_r():
-    # Both slopes transported by the same ∞-fixing reflections.
+    # -1/3 and 7/3 fold onto 1/3 by ∞-fixing reflections of Γ̂_r, which
+    # leave Γ̂_r unchanged: s itself is reduced against 1/3.
     for num, den in ((1, 6), (1, 2), (2, 7), (5, 3)):
         s = Slope(num, den)
-        base = classify_orbit(s, Slope(1, 3)).answer
-        assert classify_orbit(-s, Slope(-1, 3)).answer == base
-        assert classify_orbit(s + 2, Slope(7, 3)).answer == base
+        base = classify_orbit(s, Slope(1, 3))
+        assert classify_orbit(-s, Slope(-1, 3)).answer == base.answer
+        assert classify_orbit(s + 2, Slope(7, 3)).answer == base.answer
+        moved = classify_orbit(s, Slope(7, 3))
+        assert (moved.trace, moved.answer, moved.canonical_representative) == (
+            base.trace, base.answer, base.canonical_representative)
 
 
 def test_triangle_orbit_contains_vertex_translates():
