@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import verification
@@ -36,6 +37,10 @@ from .words import format_word, half_relator, relator
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
+
+#: -1/3 or -inf, which argparse would take for an option; main passes it
+#: on with the minus sign U+2212, which parse_slope reads as "-".
+_NEGATIVE_SLOPE = re.compile(r"-(\d+/\d+|inf)")
 
 
 def _emit(args, text_lines, json_obj) -> None:
@@ -217,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(
+        ["−" + a[1:] if _NEGATIVE_SLOPE.fullmatch(a) else a for a in argv])
     try:
         return args.func(args)
     except ValueError as exc:

@@ -5,13 +5,17 @@ elements of the symmetrized set R (all rotations of the relator and of
 its inverse).  Because R is rotation-closed, every nonempty subword of a
 piece is again a piece, which makes greedy longest-piece factorization
 optimal and keeps all of the checks here elementary.
+
+Piece lengths have one source: the closed-form catalog of maximal
+n-piece subwords, phrased through the v1 v2 v3 v4 splitting of the
+relator.  The brute-force piece scan it is checked against lives in
+``verification``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Sequence
 
 from .slopes import ONE, ZERO, Slope
 from .seqs import (
@@ -21,9 +25,7 @@ from .seqs import (
     s_sequence_of_word,
 )
 from .words import (
-    CyclicWord,
     canonical_rotation,
-    cyclic_reduce,
     inverse_word,
     is_cyclically_alternating,
     relator,
@@ -34,115 +36,50 @@ from .words import (
 Span = tuple[int, int]
 
 
-class SymmetrizedRelators:
-    """All rotations of the relator of a slope in (0,1) and of its inverse.
-
-    The 4p elements are pairwise distinct words of length 2p.
-    """
-
-    def __init__(self, slope: Slope):
-        if not (ZERO < slope < ONE):
-            raise ValueError(f"symmetrized set needs 0 < r < 1, got {slope}")
-        self.slope = slope
-        self.relator = relator(slope)
-        n = len(self.relator)
-        elements: set[str] = set()
-        for base in (self.relator, inverse_word(self.relator)):
-            dd = base + base
-            for i in range(n):
-                elements.add(dd[i:i + n])
-        if len(elements) != 2 * n:
-            raise AssertionError(f"symmetrized set of {slope} is degenerate")
-        self._set = frozenset(elements)
-        self._sorted = sorted(elements)
-
-    def __len__(self) -> int:
-        return len(self._sorted)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._sorted)
-
-    def __contains__(self, w: str) -> bool:
-        return w in self._set
-
-    def longest_piece_prefix(self, x: str) -> int:
-        """Length of the longest prefix of x that is a piece (0 if none).
-
-        Sorted-neighbor scan: the elements sharing a given prefix form a
-        contiguous run, so only the nearest neighbors on each side of the
-        insertion point matter.
-        """
-        elems = self._sorted
-        pos = bisect_left(elems, x)
-        exact = pos < len(elems) and elems[pos] == x
-        if exact:
-            # x itself supplies one of the two required elements.
-            best = 0
-            for j in (pos - 1, pos + 1):
-                if 0 <= j < len(elems):
-                    best = max(best, _lcp(x, elems[j]))
-            return best
-        left = [_lcp(x, elems[j]) for j in (pos - 1, pos - 2) if j >= 0]
-        right = [_lcp(x, elems[j]) for j in (pos, pos + 1) if j < len(elems)]
-        l1 = left[0] if left else 0
-        l2 = left[1] if len(left) > 1 else 0
-        r1 = right[0] if right else 0
-        r2 = right[1] if len(right) > 1 else 0
-        # Second-largest common-prefix length over all of R.
-        return max(l2, r1) if l1 >= r1 else max(r2, l1)
+def symmetrize(r: Slope) -> tuple[str, ...]:
+    """All rotations of the relator of a slope in (0,1) and of its inverse,
+    sorted: the symmetrized set, whose 4p elements are pairwise distinct
+    words of length 2p.  Used by the oracles and the paper-property checks;
+    the report reads its piece lengths from the closed-form catalog."""
+    if not (ZERO < r < ONE):
+        raise ValueError(f"symmetrized set needs 0 < r < 1, got {r}")
+    u = relator(r)
+    n = len(u)
+    elements: set[str] = set()
+    for base in (u, inverse_word(u)):
+        dd = base + base
+        for i in range(n):
+            elements.add(dd[i:i + n])
+    if len(elements) != 2 * n:
+        raise AssertionError(f"symmetrized set of {r} is degenerate")
+    return tuple(sorted(elements))
 
 
-def _lcp(a: str, b: str) -> int:
-    n = min(len(a), len(b))
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def symmetrize(r: Slope) -> SymmetrizedRelators:
-    return SymmetrizedRelators(r)
-
-
-def _piece_length_table(cw: CyclicWord, relators: SymmetrizedRelators) -> list[int]:
-    w = cw.letters
-    dd = w + w
-    n = len(w)
-    return [relators.longest_piece_prefix(dd[i:i + n]) for i in range(n)]
-
-
-def min_piece_factorization(cw: CyclicWord, relators: SymmetrizedRelators) -> int:
-    """Minimal n such that some rotation of cw is a product of n pieces.
+def min_piece_factorization(table: Sequence[int]) -> int:
+    """Minimal n such that some rotation of a cyclic word is a product of
+    n pieces, given the length of the longest piece at each start.
 
     Greedy longest-piece-first is optimal because every nonempty subword
     of a piece is a piece.
     """
-    if len(cw) == 0:
-        raise ValueError("empty cyclic word")
-    table = _piece_length_table(cw, relators)
     n = len(table)
-    best: float = float("inf")
+    if n == 0:
+        raise ValueError("empty cyclic word")
+    best = n + 1  # more pieces than letters: no cover found yet
     for start in range(n):
         covered = 0
         count = 0
-        while covered < n:
-            step = min(table[(start + covered) % n], n - covered)
+        while covered < n and count < best:
+            step = table[(start + covered) % n]
             if step == 0:
-                count = -1
                 break
             covered += step
             count += 1
-            if count >= best:
-                break
-        if count != -1 and covered >= n:
-            best = min(best, count)
-    if best == float("inf"):
+        if covered >= n:
+            best = count
+    if best > n:
         raise ValueError("cyclic word is not a product of pieces")
-    return int(best)
+    return best
 
 
 @dataclass(frozen=True)
@@ -153,16 +90,10 @@ class CatalogItem:
     spans: tuple[Span, ...]
 
 
-def _relator_block_lengths(r: Slope) -> tuple[int, int]:
-    """Lengths (|v1|, |v2|) of the v1 v2 v3 v4 splitting of the relator,
-    where v1, v3 carry the palindromic half S1 and v2, v4 carry S2."""
-    d = decompose(r)
-    return sum(d.s1), sum(d.s2)
-
-
 def piece_product_catalog(r: Slope, n_pieces: int) -> list[CatalogItem]:
     """Closed-form catalog of the maximal n-piece subwords (n = 1, 2, 3),
-    phrased through the v1 v2 v3 v4 splitting of the relator.
+    phrased through the v1 v2 v3 v4 splitting of the relator, where v1, v3
+    carry the palindromic half S1 and v2, v4 carry S2.
 
     Families are listed by the position of their initial letter; spans are
     reported in the canonical rotation of the relator's cyclic word.
@@ -171,7 +102,8 @@ def piece_product_catalog(r: Slope, n_pieces: int) -> list[CatalogItem]:
     """
     if n_pieces not in (1, 2, 3):
         raise ValueError("catalog covers n = 1, 2, 3 only")
-    n1, n2 = _relator_block_lengths(r)
+    d = decompose(r)
+    n1, n2 = sum(d.s1), sum(d.s2)
     u = relator(r)
     total = len(u)
     # Offset of the canonical rotation inside the relator.
@@ -212,40 +144,25 @@ def piece_product_catalog(r: Slope, n_pieces: int) -> list[CatalogItem]:
                 family("v4e v2", b4, m, m),
             ]
     else:
-        b1, b2, b3, b4 = 0, n1, n1 + n2, 2 * n1 + n2
-        if n_pieces == 1:
-            items = [
-                CatalogItem("v1b*", (span(b1, n1 - 1),)),
-                family("v1e v2", b1, n1, n2),
-                CatalogItem("v2 v3b*", (span(b2, n2 + n1 - 1),)),
-                family("v2e v3b*", b2, n2, n1 - 1),
-                CatalogItem("v3b*", (span(b3, n1 - 1),)),
-                family("v3e v4", b3, n1, n2),
-                CatalogItem("v4 v1b*", (span(b4, n2 + n1 - 1),)),
-                family("v4e v1b*", b4, n2, n1 - 1),
-            ]
-        elif n_pieces == 2:
-            items = [
-                CatalogItem("v1 v2", (span(b1, n1 + n2),)),
-                family("v1e v2 v3b*", b1, n1, n2 + n1 - 1),
-                CatalogItem("v2 v3 v4", (span(b2, n2 + n1 + n2),)),
-                family("v2e v3 v4", b2, n2, n1 + n2),
-                CatalogItem("v3 v4", (span(b3, n1 + n2),)),
-                family("v3e v4 v1b*", b3, n1, n2 + n1 - 1),
-                CatalogItem("v4 v1 v2", (span(b4, n2 + n1 + n2),)),
-                family("v4e v1 v2", b4, n2, n1 + n2),
-            ]
-        else:
-            items = [
-                CatalogItem("v1 v2 v3b*", (span(b1, n1 + n2 + n1 - 1),)),
-                family("v1e v2 v3 v4", b1, n1, n2 + n1 + n2),
-                CatalogItem("v2 v3 v4 v1b*", (span(b2, n2 + n1 + n2 + n1 - 1),)),
-                family("v2e v3 v4 v1b*", b2, n2, n1 + n2 + n1 - 1),
-                CatalogItem("v3 v4 v1b*", (span(b3, n1 + n2 + n1 - 1),)),
-                family("v3e v4 v1 v2", b3, n1, n2 + n1 + n2),
-                CatalogItem("v4 v1 v2 v3b*", (span(b4, n2 + n1 + n2 + n1 - 1),)),
-                family("v4e v1 v2 v3b*", b4, n2, n1 + n2 + n1 - 1),
-            ]
+        # Blocks v1..v4 of lengths (n1, n2, n1, n2); v1 and v3 carry S1.
+        lengths = (n1, n2, n1, n2)
+        bases = (0, n1, n1 + n2, 2 * n1 + n2)
+
+        def run(blocks: list[int]) -> tuple[str, int]:
+            # Whole blocks in order; a run ending in v1 or v3 stops one
+            # letter short.
+            short = blocks[-1] % 2 == 0
+            label = " ".join(f"v{k + 1}" for k in blocks) + ("b*" if short else "")
+            return label, sum(lengths[k] for k in blocks) - short
+
+        items = []
+        for k in range(4):
+            # From the start of v_k through n blocks (n + 1 from v2 or v4) ...
+            label, length = run([(k + i) % 4 for i in range(n_pieces + k % 2)])
+            items.append(CatalogItem(label, (span(bases[k], length),)))
+            # ... and from inside v_k to its end, then through n blocks.
+            label, length = run([(k + i) % 4 for i in range(1, n_pieces + 1)])
+            items.append(family(f"v{k + 1}e {label}", bases[k], lengths[k], length))
     return items
 
 
@@ -266,7 +183,7 @@ def t4_structural(r: Slope) -> bool:
     return is_cyclically_alternating(u) and is_cyclically_alternating(inverse_word(u))
 
 
-def t4_by_triples(relators: SymmetrizedRelators) -> bool:
+def t4_by_triples(relators: Sequence[str]) -> bool:
     """Direct T(4) check: for every triple w1, w2, w3 with no successive
     inverse pair (indices mod 3), at least one of w1w2, w2w3, w3w1 must be
     freely reduced without cancellation.  (T(4) constrains the cycle
@@ -275,15 +192,14 @@ def t4_by_triples(relators: SymmetrizedRelators) -> bool:
     Cubic in |R|: the brute-force oracle for t4_structural, run by the
     verification suites for small denominators only.
     """
-    elems = relators._sorted
-    inv = {w: inverse_word(w) for w in elems}
-    first = {w: w[0] for w in elems}
-    last = {w: w[-1] for w in elems}
-    for w1 in elems:
-        for w2 in elems:
+    inv = {w: inverse_word(w) for w in relators}
+    first = {w: w[0] for w in relators}
+    last = {w: w[-1] for w in relators}
+    for w1 in relators:
+        for w2 in relators:
             if w2 == inv[w1] or last[w1] != first[w2].swapcase():
                 continue
-            for w3 in elems:
+            for w3 in relators:
                 if w3 == inv[w2] or w1 == inv[w3]:
                     continue
                 if last[w2] != first[w3].swapcase():
@@ -319,14 +235,16 @@ class PieceReport:
 def small_cancellation_report(r: Slope) -> PieceReport:
     """Verify C(4) and T(4) for the symmetrized relator set of r.
 
-    C(4) is checked by minimal piece factorization of the relator's
-    cyclic word (its inverse has the same minimum, since the inverse of a
-    piece is a piece); T(4) by the structural criterion.  The maximal
-    n-piece subwords come from the closed-form catalog.
+    The piece lengths come from the closed-form catalog of the maximal
+    n-piece subwords: its n = 1 spans give the longest piece at each start
+    of the relator's cyclic word, and C(4) is the minimal piece
+    factorization over that table (the inverse has the same minimum, since
+    the inverse of a piece is a piece).  T(4) is the structural criterion.
     """
-    relators = symmetrize(r)
-    min_pieces = min_piece_factorization(cyclic_reduce(relators.relator), relators)
     catalog = {n: tuple(catalog_spans(r, n)) for n in (1, 2, 3)}
+    if [start for start, _ in catalog[1]] != list(range(2 * r.den)):
+        raise AssertionError(f"1-piece catalog of {r} is not one span per start")
+    min_pieces = min_piece_factorization([length for _, length in catalog[1]])
     return PieceReport(
         relator_slope=r,
         c4=min_pieces >= 4,
@@ -340,11 +258,10 @@ def initial_letter_spread(r: Slope) -> bool:
     """Whether, for every rotation w of the relator, the words in the
     symmetrized set sharing the S-sequence of w start with all four
     letters."""
-    relators = symmetrize(r)
     by_runs: dict[tuple[int, ...], set[str]] = {}
-    for element in relators:
+    for element in symmetrize(r):
         by_runs.setdefault(s_sequence_of_word(element), set()).add(element[0])
-    u = relators.relator
+    u = relator(r)
     dd = u + u
     n = len(u)
     for i in range(n):

@@ -52,9 +52,8 @@ def s_sequence_of_word(v: str) -> Seq:
 
 
 def _rank_codes(terms: Sequence[int]) -> dict[int, str]:
-    # Terms of any size coded as characters of their rank, so rotation and
-    # factor searches run on C string primitives; ranks keep the order of
-    # the terms, so least rotations are unchanged.
+    # Terms of any size coded as characters of their rank, so the factor
+    # searches run on C string primitives.
     return {v: chr(i) for i, v in enumerate(sorted(set(terms)))}
 
 
@@ -73,7 +72,7 @@ def _coded_search(haystack: Sequence[int], needle: Seq) -> tuple[str, str] | Non
 
 
 def _canonical_rotation(terms: Seq) -> Seq:
-    i = _least_rotation_start(_encode(terms, _rank_codes(terms)))
+    i = _least_rotation_start(terms)
     return terms[i:] + terms[:i]
 
 

@@ -154,9 +154,9 @@ def parse_slope(text: str) -> Slope:
             return Slope(int(a), int(b))
         return Slope(int(t))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed slope {text!r}") from exc
+        raise ValueError(f"malformed slope {t!r}") from exc
     except OverflowError as exc:
-        raise ValueError(f"slope {text!r} exceeds the 64-bit working bound") from exc
+        raise ValueError(f"slope {t!r} exceeds the 64-bit working bound") from exc
 
 
 @dataclass(frozen=True)
@@ -323,13 +323,18 @@ def parity_vertex(cls: ParityClass) -> Slope:
 
 
 def farey_interval(max_den: int) -> list[Slope]:
-    """All slopes q/p with 0 <= q/p <= 1 and p <= max_den, sorted."""
+    """All slopes q/p with 0 <= q/p <= 1 and p <= max_den, sorted.
+
+    Generated in order by the next-term recurrence of the Farey sequence:
+    after neighbors a/b < c/d the next term is (kc − a)/(kd − b) with
+    k = ⌊(max_den + b)/d⌋.
+    """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    out = []
-    for p in range(1, max_den + 1):
-        for q in range(0, p + 1):
-            if math.gcd(q, p) == 1:
-                out.append(Slope(q, p))
-    out.sort()
+    out = [ZERO]
+    a, b, c, d = 0, 1, 1, max_den
+    while c <= max_den:
+        out.append(Slope(c, d))
+        k = (max_den + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
     return out

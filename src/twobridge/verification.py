@@ -6,14 +6,17 @@ by the acceptance tests.  Checks return a CheckResult rather than
 raising, so the CLI can print one pass/fail line per suite.
 
 The independent oracles live here and nowhere on the library's hot path:
-the Riley and line-walk relator words, the ceiling and strip counts of
-the S-sequence, breadth-first orbit closures, the exhaustive piece scan
-and n-piece enumeration, and the calls to the cubic T(4) triple check.
+the floor-formula and line-walk relator words, the ceiling and strip
+counts of the S-sequence, breadth-first orbit closures, the brute-force
+piece scan over the symmetrized set (longest piece prefixes, the piece
+length table and the n-piece enumeration), and the calls to the cubic
+T(4) triple check.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -21,8 +24,6 @@ from typing import Iterable
 from .decide import connection_criterion, has_umpp_epimorphism, is_null_homotopic, scan
 from .pieces import (
     Span,
-    SymmetrizedRelators,
-    _piece_length_table,
     catalog_spans,
     initial_letter_spread,
     min_piece_factorization,
@@ -58,6 +59,7 @@ from .slopes import (
     slope_parity_class,
 )
 from .words import (
+    CyclicWord,
     apply_automorphism,
     cyclic_equal,
     cyclic_reduce,
@@ -70,16 +72,16 @@ from .words import (
 
 # --- Oracles: independent re-derivations that the suites compare against.
 
-def relator_by_riley(r: Slope) -> str:
-    """Relator word of a slope in (0,1] by Riley's construction:
-    a · û · (middle letter) · û⁻¹, with û the half relator."""
+def relator_by_floor(r: Slope) -> str:
+    """Relator word of a slope in (0,1] by the whole-word floor formula:
+    letter i (0-based) is a/b as i is even/odd, negated when ⌊iq/p⌋ is
+    odd."""
     q, p = _positive_pair(r)
-    hat = half_relator(r)
-    if p % 2:
-        middle = "b" if q % 2 == 0 else "B"
-    else:
-        middle = "A"
-    return "a" + hat + middle + inverse_word(hat)
+    out = []
+    for i in range(2 * p):
+        gen = "b" if i & 1 else "a"
+        out.append(gen.upper() if (i * q) // p & 1 else gen)
+    return "".join(out)
 
 
 def relator_by_line_walk(r: Slope) -> str:
@@ -207,7 +209,44 @@ def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int,
     return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
 
 
-def is_piece(w: str, relators: SymmetrizedRelators) -> bool:
+def _lcp(a: str, b: str) -> int:
+    n = min(len(a), len(b))
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def longest_piece_prefix(relators: tuple[str, ...], x: str) -> int:
+    """Length of the longest prefix of x that is a piece (0 if none), for
+    the sorted symmetrized set.
+
+    Sorted-neighbor scan: the elements sharing a given prefix form a
+    contiguous run, so only the nearest elements on each side of the
+    insertion point matter.
+    """
+    pos = bisect_left(relators, x)
+    # A piece prefix needs two distinct elements sharing it (x itself is
+    # one when x is in R): the second-largest common-prefix length, taken
+    # over the two elements on each side of the insertion point.
+    lcps = sorted(_lcp(x, e) for e in relators[max(pos - 2, 0):pos + 2])
+    return lcps[-2] if len(lcps) > 1 else 0
+
+
+def piece_length_table(cw: CyclicWord, relators: tuple[str, ...]) -> list[int]:
+    """Longest piece at each start of the cyclic word, by brute force: the
+    oracle for the lengths of the closed-form 1-piece catalog."""
+    w = cw.letters
+    dd = w + w
+    n = len(w)
+    return [longest_piece_prefix(relators, dd[i:i + n]) for i in range(n)]
+
+
+def is_piece(w: str, relators: tuple[str, ...]) -> bool:
     """Exhaustive prefix scan: w is a piece iff at least two distinct
     elements of the symmetrized set start with it."""
     if not w:
@@ -244,9 +283,7 @@ def maximal_piece_products(r: Slope, n_pieces: int) -> list[Span]:
     """
     if n_pieces < 1:
         raise ValueError("n_pieces must be >= 1")
-    relators = symmetrize(r)
-    cw = cyclic_reduce(relators.relator)
-    table = _piece_length_table(cw, relators)
+    table = piece_length_table(cyclic_reduce(relator(r)), symmetrize(r))
     best = _max_product_table(table, n_pieces)
     return [(i, best[i]) for i in range(len(best))]
 
@@ -345,9 +382,9 @@ def check_word_generators(max_p: int = 300) -> CheckResult:
     f = _Failures()
     for r in _unit_fractions(max_p):
         u = relator(r)
-        u_riley = relator_by_riley(r)
+        u_floor = relator_by_floor(r)
         u_walk = relator_by_line_walk(r)
-        if not f.expect(u == u_riley == u_walk, f"relator generators at {r}"):
+        if not f.expect(u == u_floor == u_walk, f"relator generators at {r}"):
             continue
         ok = (len(u) == 2 * r.den and is_cyclically_alternating(u)
               and not cyclic_equal(u, inverse_word(u)))
@@ -454,9 +491,12 @@ def check_small_cancellation(max_p: int = 50,
         f.expect(report.c4, f"C(4) at {r}")
         f.expect(report.t4 and (p > T4_TRIPLE_BOUND or t4_by_triples(relators)),
                  f"T(4) at {r}")
-        inverse = cyclic_reduce(inverse_word(relators.relator))
+        u = relator(r)
+        cw = cyclic_reduce(u)
         f.expect(report.min_cyclic_pieces >= 4 and report.min_cyclic_pieces
-                 == min_piece_factorization(inverse, relators), f"min pieces at {r}")
+                 == min_piece_factorization(piece_length_table(cw, relators))
+                 == min_piece_factorization(piece_length_table(cw.inverse(), relators)),
+                 f"min pieces at {r}")
         f.expect(initial_letter_spread(r), f"initial letters at {r}")
         for n in (1, 2, 3):
             brute = sorted(maximal_piece_products(r, n))
@@ -469,9 +509,8 @@ def check_small_cancellation(max_p: int = 50,
         if p <= closure_bound:
             # Subword closure: every subword of a maximal piece is a piece,
             # cross-validated against the exhaustive prefix scan.
-            u = relators.relator
             dd = u + u
-            lengths = [relators.longest_piece_prefix(dd[i:i + 2 * p])
+            lengths = [longest_piece_prefix(relators, dd[i:i + 2 * p])
                        for i in range(2 * p)]
             ok = True
             for i, length in enumerate(lengths):
@@ -561,11 +600,7 @@ def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60,
             null = is_null_homotopic(s, r).answer
             if null:
                 f.expect(gap, f"null-homotopic outside gap at s={s} r={r}")
-            if not single_term:
-                f.expect(snc == conn, f"factor condition vs criterion at s={s} r={r}")
-                if null:
-                    f.expect(snc, f"necessary-condition soundness at s={s} r={r}")
-            elif single_term_literal:
+            if not single_term or single_term_literal:
                 f.expect(snc == conn, f"factor condition vs criterion at s={s} r={r}")
                 if null:
                     f.expect(snc, f"necessary-condition soundness at s={s} r={r}")

@@ -9,6 +9,7 @@ generators, ``str.swapcase`` is formal inversion of a letter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .slopes import ONE, ZERO, Slope, _positive_pair
 
@@ -67,13 +68,27 @@ def free_reduce(w: str) -> str:
     return "".join(out)
 
 
-def _least_rotation_start(t: str) -> int:
-    """Index at which the least rotation of t begins (the first such index)."""
+def _least_rotation_start(t: Sequence) -> int:
+    """Index at which the least rotation of t begins (the first such index).
+
+    Two-pointer scan in linear time: candidates i < j are compared along
+    their common prefix, and at the first difference the larger one skips
+    the compared stretch, none of whose starts can begin a least rotation.
+    """
     n = len(t)
-    if n < 2:
-        return 0
-    dd = t + t
-    return dd.index(min(dd[i:i + n] for i in range(n)))
+    dd = [*t, *t]
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = dd[i + k], dd[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j + 1, i + k + 1)
+        else:
+            j += k + 1
+        k = 0
+    return i
 
 
 def canonical_rotation(w: str) -> str:
@@ -173,12 +188,11 @@ def relator(r: Slope) -> str:
     q, p = _positive_pair(r)
     if r > ONE:
         raise ValueError(f"relator is generated only for slopes in (0,1], got {r}")
-    # Letter i (0-based) is a/b as i is even/odd, negated when ⌊iq/p⌋ is odd.
-    out = []
-    for i in range(2 * p):
-        gen = "b" if i & 1 else "a"
-        out.append(gen.upper() if (i * q) // p & 1 else gen)
-    return "".join(out)
+    # Riley's form a · û · x · û⁻¹, with x = b^(±1) for odd p and a⁻¹ for
+    # even p.
+    hat = half_relator(r)
+    middle = ("B" if q & 1 else "b") if p & 1 else "A"
+    return "a" + hat + middle + inverse_word(hat)
 
 
 _AUTOMORPHISM_NAMES = {

@@ -172,3 +172,13 @@ def test_identical_runs_identical_output(capsys):
     first = run_cli(capsys, "scan", "2/5", "--max-den", "8")
     second = run_cli(capsys, "scan", "2/5", "--max-den", "8")
     assert first == second
+
+
+def test_negative_slopes_parse_without_separator(capsys):
+    for verb, *slopes in (["seq", "-1/3"], ["null", "-1/3", "1/2"],
+                          ["epi", "-inf", "1/3"], ["reduce", "-7/3", "-2/5"]):
+        separated = run_cli(capsys, verb, "--", *slopes)
+        assert run_cli(capsys, verb, *slopes) == separated, (verb, slopes)
+    assert run_cli(capsys, "null", "-1/3", "1/2") == (
+        0, "null-homotopic = false\nrepresentative = 1/1\nroute = GENERIC\n", "")
+    assert run_cli(capsys, "epi", "-inf", "1/3")[:2] == (0, "epimorphism = true\n")

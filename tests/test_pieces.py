@@ -1,7 +1,10 @@
+import hashlib
+import json
 import math
 
 import pytest
 
+from twobridge import pieces
 from twobridge.slopes import ONE, Slope, ZERO
 from twobridge.pieces import (
     catalog_spans,
@@ -14,8 +17,13 @@ from twobridge.pieces import (
     t4_by_triples,
     t4_structural,
 )
-from twobridge.verification import is_piece, maximal_piece_products
-from twobridge.words import cyclic_reduce, half_relator, inverse_word
+from twobridge.verification import (
+    is_piece,
+    longest_piece_prefix,
+    maximal_piece_products,
+    piece_length_table,
+)
+from twobridge.words import cyclic_reduce, half_relator, inverse_word, relator
 
 
 def test_symmetrize_sizes():
@@ -47,21 +55,21 @@ def test_ab_is_a_piece_of_4_7():
     # Two distinct rotations of the relator begin with "ab" (offsets 0
     # and 4), so "ab" is a common prefix of distinct elements.
     relators = symmetrize(Slope(4, 7))
-    u = relators.relator
+    u = relator(Slope(4, 7))
     assert u.startswith("ab") and (u[4:] + u[:4]).startswith("ab")
     assert is_piece("ab", relators)
-    assert min_piece_factorization(cyclic_reduce("ab"), relators) == 1
+    assert min_piece_factorization(piece_length_table(cyclic_reduce("ab"), relators)) == 1
 
 
 def test_longest_piece_prefix_matches_exhaustive_scan():
     for r in (Slope(1, 2), Slope(2, 5), Slope(4, 7), Slope(3, 8)):
         relators = symmetrize(r)
-        u = relators.relator
+        u = relator(r)
         dd = u + u
         n = len(u)
         for i in range(n):
             x = dd[i:i + n]
-            best = relators.longest_piece_prefix(x)
+            best = longest_piece_prefix(relators, x)
             if best:
                 assert is_piece(x[:best], relators)
             if best < n:
@@ -70,9 +78,34 @@ def test_longest_piece_prefix_matches_exhaustive_scan():
 
 def test_min_piece_factorization_examples():
     relators = symmetrize(Slope(4, 7))
-    cw = cyclic_reduce(relators.relator)
-    assert min_piece_factorization(cw, relators) == 4
-    assert min_piece_factorization(cw.inverse(), relators) == 4
+    cw = cyclic_reduce(relator(Slope(4, 7)))
+    assert min_piece_factorization(piece_length_table(cw, relators)) == 4
+    assert min_piece_factorization(piece_length_table(cw.inverse(), relators)) == 4
+    assert min_piece_factorization([3, 0, 0, 2]) == 2
+    with pytest.raises(ValueError):
+        min_piece_factorization([])
+    with pytest.raises(ValueError):
+        min_piece_factorization([1, 0, 0])
+
+
+#: sha256 of each report's JSON, as computed with the brute-force piece
+#: scan over the symmetrized set: the closed form must reproduce it.
+REPORT_DIGESTS = {
+    Slope(4, 7): "f87790e4c59f1542dfd720f6f738bed51635207d1d007bb2cc6e63bd7cbe4698",
+    Slope(1, 3): "9e718ac7453f9a99bc24063601044ed9eb1c043a7ecef6c76920d6ad40130659",
+    Slope(101, 300): "36400e1456b601c02838cac04024dc5107fbe10e7351b1ca4e84b70a46a2e13f",
+}
+
+
+def test_report_builds_no_symmetrized_set(monkeypatch):
+    def refuse(r):
+        raise AssertionError(f"symmetrized set of {r} built by the report")
+
+    monkeypatch.setattr(pieces, "symmetrize", refuse)
+    for r, digest in REPORT_DIGESTS.items():
+        obj = small_cancellation_report(r).to_json_obj()
+        assert obj["c4"] and obj["t4"] and obj["min_cyclic_pieces"] == 4
+        assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
 
 
 def test_maximal_piece_products_match_catalog():
@@ -93,6 +126,14 @@ def test_catalog_family_counts():
                       "v3b*", "v3e v4", "v4 v1b*", "v4e v1b*"]
     labels = [item.label for item in piece_product_catalog(Slope(1, 3), 1)]
     assert labels == ["v2b*", "v2e", "v4b*", "v4e"]
+    for r in (Slope(4, 7), Slope(10, 37)):
+        labels = [item.label for item in piece_product_catalog(r, 2)]
+        assert labels == ["v1 v2", "v1e v2 v3b*", "v2 v3 v4", "v2e v3 v4",
+                          "v3 v4", "v3e v4 v1b*", "v4 v1 v2", "v4e v1 v2"], r
+        labels = [item.label for item in piece_product_catalog(r, 3)]
+        assert labels == ["v1 v2 v3b*", "v1e v2 v3 v4", "v2 v3 v4 v1b*",
+                          "v2e v3 v4 v1b*", "v3 v4 v1b*", "v3e v4 v1 v2",
+                          "v4 v1 v2 v3b*", "v4e v1 v2 v3b*"], r
 
 
 def test_no_three_piece_product_covers_relator():

@@ -205,6 +205,17 @@ def test_parity_examples():
     assert slope_parity_class(Slope(-3, 5)) is ParityClass.ONE
 
 
+def test_farey_interval_matches_sorted_fractions():
+    for n in range(1, 61):
+        expected = sorted({Fraction(q, p) for p in range(1, n + 1)
+                           for q in range(p + 1)})
+        got = farey_interval(n)
+        assert [(s.num, s.den) for s in got] == [
+            (x.numerator, x.denominator) for x in expected], n
+    with pytest.raises(ValueError):
+        farey_interval(0)
+
+
 def test_parity_matches_triangle_orbits():
     bound = 12
     orbits = {

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,8 +23,9 @@ from twobridge.words import (
     parse_word,
     relator,
 )
-from twobridge.seqs import s_sequence_of_word
-from twobridge.verification import relator_by_line_walk, relator_by_riley
+from twobridge.words import _least_rotation_start
+from twobridge.seqs import s_sequence, s_sequence_of_word
+from twobridge.verification import relator_by_floor, relator_by_line_walk
 
 words = st.text(alphabet="aAbB", max_size=40)
 
@@ -67,7 +69,7 @@ def test_relator_generators_agree():
              if math.gcd(q, p) == 1]
     for r in small + [Slope(3001, 10007)]:
         u = relator(r)
-        assert u == relator_by_riley(r), r
+        assert u == relator_by_floor(r), r
         assert u == relator_by_line_walk(r), r
         assert len(u) == 2 * r.den
         assert is_cyclically_alternating(u)
@@ -171,3 +173,26 @@ def test_alternation_is_rotation_safe(w):
     if is_cyclically_alternating(w) and len(w) >= 2:
         assert all(is_alternating(rot)
                    for rot in (w[i:] + w[:i] for i in range(len(w))))
+
+
+def least_rotation_start_by_slices(t) -> int:
+    """Quadratic reference: the first index of the least of all rotations."""
+    n = len(t)
+    return min(range(n), key=lambda i: (t[i:] + t[:i], i)) if n else 0
+
+
+def test_least_rotation_start_matches_quadratic_reference():
+    rng = random.Random(20261018)
+    cases = [(), (5,), (2, 2), "abab", "baba", "aAbB"]
+    for _ in range(3000):
+        n = rng.randint(1, 24)
+        alphabet = rng.randint(1, 4)
+        if rng.random() < 0.4:
+            period = [rng.randrange(alphabet) for _ in range(rng.randint(1, 6))]
+            cases.append(tuple(period * (n // len(period) + 1)))
+        else:
+            cases.append(tuple(rng.randrange(alphabet) for _ in range(n)))
+    cases += [s_sequence(Slope(q, p)) for p in (7, 100, 1013, 10000)
+              for q in (1, 3, p // 3 + 1, p - 1) if math.gcd(q, p) == 1]
+    for t in cases:
+        assert _least_rotation_start(t) == least_rotation_start_by_slices(t), t
