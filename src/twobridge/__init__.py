@@ -63,7 +63,6 @@ from .reflections import (
 )
 from .pieces import (
     PieceReport,
-    initial_letter_spread,
     min_piece_factorization,
     piece_product_catalog,
     satisfies_necessary_condition,

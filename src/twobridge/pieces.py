@@ -22,7 +22,6 @@ from .seqs import (
     contains_cyclic_factor,
     decompose,
     s_sequence,
-    s_sequence_of_word,
 )
 from .words import (
     canonical_rotation,
@@ -252,23 +251,6 @@ def small_cancellation_report(r: Slope) -> PieceReport:
         min_cyclic_pieces=min_pieces,
         maximal_piece_catalog=catalog,
     )
-
-
-def initial_letter_spread(r: Slope) -> bool:
-    """Whether, for every rotation w of the relator, the words in the
-    symmetrized set sharing the S-sequence of w start with all four
-    letters."""
-    by_runs: dict[tuple[int, ...], set[str]] = {}
-    for element in symmetrize(r):
-        by_runs.setdefault(s_sequence_of_word(element), set()).add(element[0])
-    u = relator(r)
-    dd = u + u
-    n = len(u)
-    for i in range(n):
-        rotation = dd[i:i + n]
-        if by_runs[s_sequence_of_word(rotation)] != {"a", "A", "b", "B"}:
-            return False
-    return True
 
 
 def satisfies_necessary_condition(s: Slope, r: Slope) -> bool:

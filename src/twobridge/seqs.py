@@ -4,6 +4,11 @@ The S-sequence of a reduced word lists the lengths of its maximal blocks
 of constant exponent sign.  For the relator of slope q/p it is given by a
 floor-difference formula; the verification suites compare that formula
 with two independent oracles (a ceiling count and a lattice strip count).
+
+The splitting S(r) = (S1, S2, S1, S2) and the T-sequence are read off
+the slope: S1 and S2 are the first half of S(r) cut after q2 terms, for
+the right gap endpoint r2 = q2/p2, and T(r) is the S-sequence of a slope
+derived from the continued fraction of r.
 """
 
 from __future__ import annotations
@@ -13,7 +18,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .slopes import ONE, ZERO, Slope, _positive_pair, cf_expand
+from .slopes import (
+    ONE,
+    ZERO,
+    Slope,
+    _positive_pair,
+    cf_expand,
+    cf_value,
+    fundamental_endpoints,
+)
 from .words import CyclicWord, _least_rotation_start, is_reduced
 
 Seq = tuple[int, ...]
@@ -48,7 +61,7 @@ def s_sequence_of_word(v: str) -> Seq:
     """
     if not is_reduced(v):
         raise ValueError(f"word is not reduced: {v!r}")
-    return tuple(len(run) for run in _RUNS.findall(v))
+    return tuple(map(len, _RUNS.findall(v)))
 
 
 def _rank_codes(terms: Sequence[int]) -> dict[int, str]:
@@ -136,13 +149,10 @@ def cyclic_s_sequence(r: Slope) -> CyclicSequence:
 
 
 def t_sequence(r: Slope) -> Seq:
-    """Run counts of the majority term of the S-sequence between its
-    isolated minority terms.
-
-    With r = [m,m2,...]: for m2 = 1 the terms m are isolated and the
-    sequence counts the runs of m+1; for m2 >= 2 the terms m+1 are
-    isolated and it counts the runs of m.  Undefined when the expansion
-    has a single term.
+    """T-sequence of a slope r = [m,m2,m3,...] whose expansion has at least
+    two terms: the S-sequence of [m3,...] when m2 = 1, and the reversed
+    S-sequence of [m2-1,m3,...] when m2 >= 2.  It counts the runs of the
+    majority term of S(r), as ``verification.t_sequence_by_runs`` does.
 
     >>> t_sequence(Slope(10, 37))
     (3, 2, 2, 3, 2, 2)
@@ -150,34 +160,9 @@ def t_sequence(r: Slope) -> Seq:
     terms = cf_expand(r).terms
     if len(terms) < 2:
         raise ValueError(f"T-sequence needs an expansion of length >= 2, got {r}")
-    m, m2 = terms[0], terms[1]
-    s = s_sequence(r)
-    out: list[int] = []
-    i, n = 0, len(s)
-    if m2 == 1:
-        # (t1<m+1>, m, t2<m+1>, m, ..., ts<m+1>, m)
-        while i < n:
-            j = i
-            while j < n and s[j] == m + 1:
-                j += 1
-            if j == i or j >= n or s[j] != m:
-                raise AssertionError(f"malformed S-sequence for {r}: {s}")
-            out.append(j - i)
-            i = j + 1
-    else:
-        # (m+1, t1<m>, m+1, t2<m>, ..., m+1, ts<m>)
-        while i < n:
-            if s[i] != m + 1:
-                raise AssertionError(f"malformed S-sequence for {r}: {s}")
-            i += 1
-            j = i
-            while j < n and s[j] == m:
-                j += 1
-            if j == i:
-                raise AssertionError(f"malformed S-sequence for {r}: {s}")
-            out.append(j - i)
-            i = j
-    return tuple(out)
+    if terms[1] == 1:
+        return s_sequence(cf_value(terms[2:]))
+    return s_sequence(cf_value((terms[1] - 1,) + terms[2:]))[::-1]
 
 
 def cyclic_t_sequence(r: Slope) -> CyclicSequence:
@@ -197,54 +182,18 @@ class Decomposition:
     s2: Seq
 
 
-def _interleave(counts: Seq, run: int, sep: int) -> Seq:
-    # (c1<run>, sep, c2<run>, sep, ..., sep, cLast<run>)
-    out: list[int] = []
-    for idx, c in enumerate(counts):
-        if idx:
-            out.append(sep)
-        out.extend([run] * c)
-    return tuple(out)
-
-
-def _decompose_terms(terms: Seq) -> tuple[Seq, Seq]:
-    k = len(terms)
-    m = terms[0]
-    if k == 1:
-        return (), (m,)
-    m2 = terms[1]
-    if m2 == 1 and k == 3:
-        return (m + 1,) * terms[2], (m,)
-    if m2 >= 2 and k == 2:
-        return (m + 1,), (m,) * (m2 - 1)
-    if m2 == 1:  # k >= 4
-        t1, t2 = _decompose_terms(terms[2:])
-        s1 = _interleave(t1, m + 1, m)
-        s2_parts: list[int] = [m]
-        for c in t2:
-            s2_parts.extend([m + 1] * c)
-            s2_parts.append(m)
-        return s1, tuple(s2_parts)
-    # m2 >= 2 and k >= 3
-    t1, t2 = _decompose_terms((m2 - 1,) + terms[2:])
-    s1_parts: list[int] = [m + 1]
-    for c in t2:
-        s1_parts.extend([m] * c)
-        s1_parts.append(m + 1)
-    s2 = _interleave(t1, m, m + 1)
-    return tuple(s1_parts), s2
-
-
 # Bounded: a decomposition holds O(q) terms, and callers reuse it only
 # while they work on one r (the suites and the piece catalogs).
 @lru_cache(maxsize=128)
 def decompose(r: Slope) -> Decomposition:
     """Split S(r) = (S1, S2, S1, S2) for 0 < r < 1.
 
-    Built by the recursion on the continued fraction expansion, then
-    verified outright: palindromicity, boundary terms, reassembly, and
-    the exactly-twice occurrence counts.  A failure here is a bug, not a
-    property of the input.
+    S1 is the first q2 terms of S(r), where r2 = q2/p2 is the right
+    endpoint of the gap around r, and S2 is the rest of the first half;
+    S1 is empty when r = 1/m.  The split is verified outright:
+    reassembly, palindromicity, boundary terms, and the exactly-twice
+    occurrence counts.  A failure here is a bug, not a property of the
+    input.
 
     >>> decompose(Slope(10, 37))
     Decomposition(s1=(4, 4, 4), s2=(3, 4, 4, 3, 4, 4, 3))
@@ -252,8 +201,9 @@ def decompose(r: Slope) -> Decomposition:
     if not (ZERO < r < ONE):
         raise ValueError(f"decomposition needs 0 < r < 1, got {r}")
     terms = cf_expand(r).terms
-    s1, s2 = _decompose_terms(terms)
     s = s_sequence(r)
+    k = fundamental_endpoints(r)[1].num if len(terms) > 1 else 0
+    s1, s2 = s[:k], s[k:r.num]
     m = terms[0]
     if s1 + s2 + s1 + s2 != s:
         raise AssertionError(f"decomposition does not reassemble S({r})")

@@ -7,10 +7,11 @@ raising, so the CLI can print one pass/fail line per suite.
 
 The independent oracles live here and nowhere on the library's hot path:
 the floor-formula and line-walk relator words, the ceiling and strip
-counts of the S-sequence, breadth-first orbit closures, the brute-force
-piece scan over the symmetrized set (longest piece prefixes, the piece
-length table and the n-piece enumeration), and the calls to the cubic
-T(4) triple check.
+counts of the S-sequence, the run count of the T-sequence, breadth-first
+orbit closures, the brute-force piece scan over the symmetrized set
+(longest piece prefixes, the piece length table and the n-piece
+enumeration), the initial-letter spread, and the calls to the cubic T(4)
+triple check.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable
 
 from .decide import connection_criterion, has_umpp_epimorphism, is_null_homotopic, scan
 from .pieces import (
     Span,
-    catalog_spans,
-    initial_letter_spread,
     min_piece_factorization,
     piece_product_catalog,
     satisfies_necessary_condition,
@@ -68,6 +68,21 @@ from .words import (
     is_cyclically_alternating,
     relator,
 )
+
+
+#: Pruning factors of the breadth-first closures, which stop once
+#: max(|numerator|, denominator) exceeds factor * max_den: oracle
+#: completeness parameters, to be raised if the oracle ever disagrees with
+#: the exact decision or the parity classes.
+ORBIT_EXPANSION = 64
+TRIANGLE_EXPANSION = 4
+#: Denominator bounds of the cubic T(4) triple check and of the exhaustive
+#: piece subword-closure check in the small-cancellation suite; beyond
+#: them the structural argument and the closed-form catalog stand alone.
+T4_TRIPLE_BOUND = 12
+CLOSURE_BOUND = 20
+#: Failures a suite lists in its detail line; the count covers the rest.
+FAILURE_LIMIT = 5
 
 
 # --- Oracles: independent re-derivations that the suites compare against.
@@ -138,6 +153,18 @@ def s_sequence_by_strip_count(r: Slope) -> Seq:
     return tuple(counts)
 
 
+def t_sequence_by_runs(r: Slope) -> Seq:
+    """T-sequence as the run lengths of the majority term of S(r), for
+    r = [m,m2,...]: runs of m+1 when m2 = 1 and runs of m otherwise.  S(r)
+    starts with m+1 and ends with m, so no run wraps around."""
+    terms = cf_expand(r).terms
+    if len(terms) < 2:
+        raise ValueError(f"T-sequence needs an expansion of length >= 2, got {r}")
+    majority = terms[0] + 1 if terms[1] == 1 else terms[0]
+    return tuple(sum(1 for _ in run) for term, run in groupby(s_sequence(r))
+                 if term == majority)
+
+
 def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
              cap: int) -> set[tuple[int, int]]:
     """BFS closure over (num, den) pairs, pruning beyond max(|num|, den) <= cap."""
@@ -168,15 +195,10 @@ def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
     return seen
 
 
-def orbit_closure(r: Slope, seeds: Iterable[Slope], max_den: int,
-                  expansion: int = 64) -> set[Slope]:
+def orbit_closure(r: Slope, seeds: Iterable[Slope], max_den: int) -> set[Slope]:
     """All slopes of denominator <= max_den reachable from the seeds under
-    the four reflections in the edges (∞,0), (∞,1), (r,r1), (r,r2).
-
-    Exploration is pruned once max(|numerator|, denominator) exceeds
-    expansion * max_den; the factor is an oracle-completeness parameter,
-    to be raised if a disagreement with the exact decision ever shows up.
-    """
+    the four reflections in the edges (∞,0), (∞,1), (r,r1), (r,r2), with
+    exploration pruned at ORBIT_EXPANSION * max_den."""
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     r1, r2 = fundamental_endpoints(r)
@@ -186,15 +208,14 @@ def orbit_closure(r: Slope, seeds: Iterable[Slope], max_den: int,
         reflection_in_edge(r, r1),
         reflection_in_edge(r, r2),
     ]
-    seen = _closure(gens, seeds, expansion * max_den)
+    seen = _closure(gens, seeds, ORBIT_EXPANSION * max_den)
     return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
 
 
-def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int,
-                           expansion: int = 4) -> set[Slope]:
+def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int) -> set[Slope]:
     """Orbit closure under the full edge-reflection group of the
     tessellation (generated by the reflections in the sides of the
-    triangle 0, 1, ∞), pruned like orbit_closure.
+    triangle 0, 1, ∞), pruned at TRIANGLE_EXPANSION * max_den.
 
     This is the oracle for the parity classification of slopes.
     """
@@ -205,7 +226,7 @@ def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int,
         reflection_in_edge(INFINITY, ONE),
         reflection_in_edge(ZERO, ONE),
     ]
-    seen = _closure(gens, seeds, expansion * max_den)
+    seen = _closure(gens, seeds, TRIANGLE_EXPANSION * max_den)
     return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
 
 
@@ -260,9 +281,13 @@ def is_piece(w: str, relators: tuple[str, ...]) -> bool:
     return False
 
 
-def _max_product_table(table: list[int], n_pieces: int) -> list[int]:
-    """For each start, the length of the longest product of <= n pieces
-    beginning there (capped at one full turn of the cyclic word)."""
+def maximal_piece_products(table: list[int], n_pieces: int) -> list[Span]:
+    """All maximal n-piece subwords of a cyclic word, by enumeration over
+    its piece length table: the oracle for the closed-form catalog.  One
+    span per start, the longest product of n pieces beginning there,
+    capped at one full turn of the cyclic word."""
+    if n_pieces < 1:
+        raise ValueError("n_pieces must be >= 1")
     n = len(table)
     best = table[:]
     for _ in range(n_pieces - 1):
@@ -270,29 +295,24 @@ def _max_product_table(table: list[int], n_pieces: int) -> list[int]:
             min(n, table[i] + best[(i + table[i]) % n]) if table[i] else 0
             for i in range(n)
         ]
-    return best
+    return list(enumerate(best))
 
 
-def maximal_piece_products(r: Slope, n_pieces: int) -> list[Span]:
-    """All maximal n-piece subwords of the relator's cyclic word, by
-    enumeration: the oracle for the closed-form catalog.
-
-    One span per starting position of the canonical rotation: the longest
-    subword beginning there that is a product of n pieces (so that no
-    extension keeping the same start is again one).
-    """
-    if n_pieces < 1:
-        raise ValueError("n_pieces must be >= 1")
-    table = piece_length_table(cyclic_reduce(relator(r)), symmetrize(r))
-    best = _max_product_table(table, n_pieces)
-    return [(i, best[i]) for i in range(len(best))]
+def initial_letter_spread(u: str, relators: tuple[str, ...]) -> bool:
+    """Whether, for every rotation w of the relator u, the words in its
+    symmetrized set sharing the S-sequence of w start with all four
+    letters."""
+    runs = {w: s_sequence_of_word(w) for w in relators}
+    initials: dict[Seq, set[str]] = {}
+    for w, seq in runs.items():
+        initials.setdefault(seq, set()).add(w[0])
+    dd = u + u
+    n = len(u)
+    return all(initials[runs[dd[i:i + n]]] == {"a", "A", "b", "B"}
+               for i in range(n))
 
 
 # --- Suites.
-
-#: Denominator bound for the cubic T(4) triple check in the
-#: small-cancellation suite; beyond it the structural argument stands alone.
-T4_TRIPLE_BOUND = 12
 
 
 @dataclass
@@ -305,17 +325,16 @@ class CheckResult:
 class _Failures:
     """Collects the first few failures and a count of items checked."""
 
-    def __init__(self, limit: int = 5):
+    def __init__(self):
         self.items = 0
         self.failures: list[str] = []
-        self.limit = limit
 
     def count(self, n: int = 1) -> None:
         self.items += n
 
     def expect(self, ok: bool, message: str) -> bool:
         self.items += 1
-        if not ok and len(self.failures) < self.limit:
+        if not ok and len(self.failures) < FAILURE_LIMIT:
             self.failures.append(message)
         return ok
 
@@ -425,15 +444,10 @@ def _check_sequence_theorems_for(f: _Failures, r: Slope) -> None:
         pairs = set(zip(s, s[1:] + s[:1]))
         forbidden = (m, m) if m2 == 1 else (m + 1, m + 1)
         f.expect(forbidden not in pairs, f"forbidden pair at {r}")
-        # T-recursion.
-        if m2 == 1:
-            r_next = cf_value(terms[2:])
-            expected_t = s_sequence(r_next)
-        else:
-            r_next = cf_value((m2 - 1,) + terms[2:])
-            expected_t = s_sequence(r_next)[::-1]
+        # T-recursion, against the run count of S(r).
+        r_next = cf_value(terms[2:] if m2 == 1 else (m2 - 1,) + terms[2:])
         t = t_sequence(r)
-        f.expect(t == expected_t, f"T-recursion at {r}")
+        f.expect(t == t_sequence_by_runs(r), f"T-recursion at {r}")
         f.expect(CyclicSequence(t) == CyclicSequence(s_sequence(r_next)),
                  f"cyclic T = cyclic S at {r}")
     # Splitting into (S1, S2, S1, S2): decompose() hard-verifies shape
@@ -478,10 +492,12 @@ def check_sequence_theorems(max_p: int = 200) -> CheckResult:
     return f.result("sequence-theorems")
 
 
-def check_small_cancellation(max_p: int = 50,
-                             closure_bound: int = 20) -> CheckResult:
+def check_small_cancellation(max_p: int = 50) -> CheckResult:
     """C(4)/T(4), piece catalogs, initial-letter spread, and the
-    subword-closure property of pieces, for all relators with p <= max_p."""
+    subword-closure property of pieces, for all relators with p <= max_p.
+
+    Per r, one symmetrized set and one brute-force piece length table of
+    the canonical cyclic word serve every check."""
     f = _Failures()
     for r in _proper_fractions(max_p):
         p = r.den
@@ -493,47 +509,46 @@ def check_small_cancellation(max_p: int = 50,
                  f"T(4) at {r}")
         u = relator(r)
         cw = cyclic_reduce(u)
+        table = piece_length_table(cw, relators)
         f.expect(report.min_cyclic_pieces >= 4 and report.min_cyclic_pieces
-                 == min_piece_factorization(piece_length_table(cw, relators))
+                 == min_piece_factorization(table)
                  == min_piece_factorization(piece_length_table(cw.inverse(), relators)),
                  f"min pieces at {r}")
-        f.expect(initial_letter_spread(r), f"initial letters at {r}")
+        f.expect(initial_letter_spread(u, relators), f"initial letters at {r}")
         for n in (1, 2, 3):
-            brute = sorted(maximal_piece_products(r, n))
-            f.expect(brute == catalog_spans(r, n), f"catalog n={n} at {r}")
+            brute = maximal_piece_products(table, n)
+            f.expect(brute == list(report.maximal_piece_catalog[n]),
+                     f"catalog n={n} at {r}")
             f.expect(all(length < 2 * p for _, length in brute),
                      f"no full-word {n}-piece product at {r}")
             families = piece_product_catalog(r, n)
             expected = 4 if len(cf_expand(r)) == 1 else 8
             f.expect(len(families) == expected, f"family count n={n} at {r}")
-        if p <= closure_bound:
+        if p <= CLOSURE_BOUND:
             # Subword closure: every subword of a maximal piece is a piece,
             # cross-validated against the exhaustive prefix scan.
-            dd = u + u
-            lengths = [longest_piece_prefix(relators, dd[i:i + 2 * p])
-                       for i in range(2 * p)]
+            dd = cw.letters * 2
             ok = True
-            for i, length in enumerate(lengths):
+            for i, length in enumerate(table):
                 if length and not is_piece(dd[i:i + length], relators):
                     ok = False
                 if length < 2 * p and is_piece(dd[i:i + length + 1], relators):
                     ok = False
                 for d in range(1, length):
-                    if lengths[(i + d) % (2 * p)] < length - d:
+                    if table[(i + d) % (2 * p)] < length - d:
                         ok = False
             f.expect(ok, f"piece subword closure at {r}")
     return f.result("small-cancellation")
 
 
-def check_decision_oracle(max_r_den: int = 20, max_s_den: int = 40,
-                          expansion: int = 64) -> CheckResult:
+def check_decision_oracle(max_r_den: int = 20, max_s_den: int = 40) -> CheckResult:
     """The exact decision agrees with breadth-first orbit closure; the
     fundamental representative is idempotent and certified by its trace;
     scans match the closure; folding by 2 or negating changes nothing."""
     f = _Failures()
     test_slopes = farey_interval(max_s_den) + [INFINITY]
     for r in _proper_fractions(max_r_den):
-        orbit = orbit_closure(r, {r, INFINITY}, max_s_den, expansion)
+        orbit = orbit_closure(r, {r, INFINITY}, max_s_den)
         for s in test_slopes:
             verdict = is_null_homotopic(s, r)
             f.expect(verdict.answer == (s in orbit), f"oracle at s={s} r={r}")
@@ -671,7 +686,7 @@ def run_all(max_den: int = 20) -> list[CheckResult]:
         check_worked_examples(),
         check_word_generators(max_p=min(300, cap)),
         check_sequence_theorems(max_p=min(200, cap)),
-        check_small_cancellation(max_p=min(50, cap), closure_bound=min(20, cap)),
+        check_small_cancellation(max_p=min(50, cap)),
         check_decision_oracle(max_r_den=min(20, cap), max_s_den=min(40, cap)),
         check_criterion_equivalences(max_r_den=min(30, cap),
                                      max_s_den=min(60, cap)),

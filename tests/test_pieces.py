@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from twobridge import pieces
+from twobridge import pieces, verification
 from twobridge.slopes import ONE, Slope, ZERO
 from twobridge.pieces import (
     catalog_spans,
-    initial_letter_spread,
     min_piece_factorization,
     piece_product_catalog,
     satisfies_necessary_condition,
@@ -18,6 +17,8 @@ from twobridge.pieces import (
     t4_structural,
 )
 from twobridge.verification import (
+    check_small_cancellation,
+    initial_letter_spread,
     is_piece,
     longest_piece_prefix,
     maximal_piece_products,
@@ -108,6 +109,11 @@ def test_report_builds_no_symmetrized_set(monkeypatch):
         assert hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest() == digest
 
 
+def brute_products(r, n_pieces):
+    table = piece_length_table(cyclic_reduce(relator(r)), symmetrize(r))
+    return maximal_piece_products(table, n_pieces)
+
+
 def test_maximal_piece_products_match_catalog():
     # The report takes its catalog from the closed form, so the closed form
     # is also checked beyond the suites' p <= 50.
@@ -115,7 +121,7 @@ def test_maximal_piece_products_match_catalog():
               if math.gcd(q, p) == 1]
     for r in slopes + [Slope(55, 89), Slope(7, 300), Slope(101, 300)]:
         for n in (1, 2, 3):
-            assert sorted(maximal_piece_products(r, n)) == catalog_spans(r, n), (r, n)
+            assert brute_products(r, n) == catalog_spans(r, n), (r, n)
 
 
 def test_catalog_family_counts():
@@ -138,7 +144,7 @@ def test_catalog_family_counts():
 
 def test_no_three_piece_product_covers_relator():
     for r in (Slope(4, 7), Slope(1, 2), Slope(5, 12)):
-        spans = maximal_piece_products(r, 3)
+        spans = brute_products(r, 3)
         assert all(length < 2 * r.den for _, length in spans)
 
 
@@ -162,9 +168,23 @@ def test_t4_paths_agree():
 
 
 def test_initial_letter_spread_examples():
-    assert initial_letter_spread(Slope(4, 7))
-    assert initial_letter_spread(Slope(10, 37))
-    assert initial_letter_spread(Slope(1, 2))
+    for r in (Slope(4, 7), Slope(10, 37), Slope(1, 2)):
+        assert initial_letter_spread(relator(r), symmetrize(r))
+
+
+def test_small_cancellation_suite_builds_one_symmetrized_set_per_r(monkeypatch):
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return symmetrize(r)
+
+    monkeypatch.setattr(pieces, "symmetrize", counting)
+    monkeypatch.setattr(verification, "symmetrize", counting)
+    assert check_small_cancellation(max_p=12).passed
+    slopes = [Slope(q, p) for p in range(2, 13) for q in range(1, p)
+              if math.gcd(q, p) == 1]
+    assert calls == slopes
 
 
 def test_necessary_condition_examples():

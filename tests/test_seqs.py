@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from twobridge.slopes import ONE, Slope, cf_expand, cf_value
+from twobridge.slopes import ONE, Slope, cf_expand
 from twobridge.seqs import (
     CyclicSequence,
     ceil_star,
@@ -20,7 +20,11 @@ from twobridge.seqs import (
     s_sequence_of_word,
     t_sequence,
 )
-from twobridge.verification import s_sequence_by_ceiling_count, s_sequence_by_strip_count
+from twobridge.verification import (
+    s_sequence_by_ceiling_count,
+    s_sequence_by_strip_count,
+    t_sequence_by_runs,
+)
 from twobridge.words import cyclic_reduce, relator
 
 
@@ -88,19 +92,13 @@ def test_t_sequence_examples():
 
 
 def test_t_sequence_recursion():
-    for p in range(2, 80):
-        for q in range(1, p):
-            if math.gcd(q, p) != 1:
-                continue
-            terms = cf_expand(Slope(q, p)).terms
-            if len(terms) < 2:
-                continue
-            if terms[1] == 1:
-                expected = s_sequence(cf_value(terms[2:]))
-            else:
-                expected = s_sequence(cf_value((terms[1] - 1,) + terms[2:]))[::-1]
-            assert t_sequence(Slope(q, p)) == expected
-            assert cyclic_t_sequence(Slope(q, p)) == CyclicSequence(expected)
+    small = [Slope(q, p) for p in range(2, 80) for q in range(1, p)
+             if math.gcd(q, p) == 1 and len(cf_expand(Slope(q, p))) > 1]
+    large = [Slope(30001, 100000), Slope(49999, 100000), Slope(3001, 10007)]
+    for r in small + large:
+        expected = t_sequence_by_runs(r)
+        assert t_sequence(r) == expected, r
+        assert cyclic_t_sequence(r) == CyclicSequence(expected), r
 
 
 def test_decompose_examples():
@@ -126,6 +124,32 @@ def test_decompose_occurrence_counts():
                 if d.s1:
                     assert count_cyclic_factor(cs, d.s1) == 2
                 assert count_cyclic_factor(cs, d.s2) == 2
+
+
+def split_passes_post_conditions(s, m, single_term, k):
+    # decompose's post-conditions, for the split of S(r)[:q] after k terms.
+    q = len(s) // 2
+    s1, s2 = s[:k], s[k:q]
+    if s1 + s2 + s1 + s2 != s or s1 != s1[::-1] or s2 != s2[::-1]:
+        return False
+    if single_term != (not s1) or (s1 and not s1[0] == s1[-1] == m + 1):
+        return False
+    if not s2[0] == s2[-1] == m:
+        return False
+    return all(count_cyclic_factor(s, part) == 2 for part in (s1, s2) if part)
+
+
+def test_decompose_is_the_only_split_passing_its_post_conditions():
+    for p in range(2, 101):
+        for q in range(1, p):
+            if math.gcd(q, p) != 1:
+                continue
+            r = Slope(q, p)
+            terms = cf_expand(r).terms
+            s = s_sequence(r)
+            splits = [k for k in range(q)
+                      if split_passes_post_conditions(s, terms[0], len(terms) == 1, k)]
+            assert splits == [len(decompose(r).s1)], r
 
 
 def test_contains_cyclic_factor_examples():
