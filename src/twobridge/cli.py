@@ -45,10 +45,18 @@ _NEGATIVE_SLOPE = re.compile(r"-(\d+/\d+|inf)")
 
 def _emit(args, text_lines, json_obj) -> None:
     if args.json:
-        print(json.dumps(json_obj, indent=None, separators=(",", ":")))
+        _print_json(json_obj)
     else:
-        for line in text_lines:
-            print(line)
+        _print_lines(text_lines)
+
+
+def _print_json(json_obj) -> None:
+    print(json.dumps(json_obj, indent=None, separators=(",", ":")))
+
+
+def _print_lines(text_lines) -> None:
+    for line in text_lines:
+        print(line)
 
 
 def _cmd_word(args) -> int:
@@ -91,7 +99,11 @@ def _cmd_seq(args) -> int:
     return EXIT_OK
 
 
-def _trace_lines(trace) -> list[str]:
+# A trace has O(steps) text and JSON, so the verbs that print one build
+# only the rendering they print.
+def _trace_lines(args, trace) -> list[str]:
+    if not args.trace:
+        return []
     return [f"  {refl} -> {image}" for refl, image in trace.steps]
 
 
@@ -100,25 +112,23 @@ def _cmd_reduce(args) -> int:
     r = parse_slope(args.r)
     verdict = is_null_homotopic(s, r)
     rep = verdict.canonical_representative
-    lines = [f"representative = {rep}"]
-    if args.trace:
-        lines += _trace_lines(verdict.trace)
-    obj = {"s": str(s), "r": str(r), "representative": str(rep),
-           "trace": verdict.trace.to_json_obj()}
-    _emit(args, lines, obj)
+    if args.json:
+        _print_json({"s": str(s), "r": str(r), "representative": str(rep),
+                     "trace": verdict.trace.to_json_obj()})
+    else:
+        _print_lines([f"representative = {rep}"] + _trace_lines(args, verdict.trace))
     return EXIT_OK
 
 
 def _cmd_null(args) -> int:
-    s = parse_slope(args.s)
-    r = parse_slope(args.r)
-    verdict = is_null_homotopic(s, r)
-    lines = [f"null-homotopic = {'true' if verdict.answer else 'false'}",
-             f"representative = {verdict.canonical_representative}",
-             f"route = {verdict.route.value}"]
-    if args.trace:
-        lines += _trace_lines(verdict.trace)
-    _emit(args, lines, verdict.to_json_obj())
+    verdict = is_null_homotopic(parse_slope(args.s), parse_slope(args.r))
+    if args.json:
+        _print_json(verdict.to_json_obj())
+    else:
+        _print_lines([f"null-homotopic = {'true' if verdict.answer else 'false'}",
+                      f"representative = {verdict.canonical_representative}",
+                      f"route = {verdict.route.value}"]
+                     + _trace_lines(args, verdict.trace))
     return EXIT_OK
 
 

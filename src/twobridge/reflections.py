@@ -9,13 +9,19 @@ unimodular map taking ∞ to v, turns them into t ↦ 2m - t, and one fold
 in that frame carries any slope onto the frame's image of [-1, 0]: [0, 1]
 at ∞, the complement of the gap (r1, r2) at r.  Alternating the folds at
 ∞ and at r reduces a slope into the fundamental set of Γ̂_r.
+
+When r = 1/m or (m-1)/m, r shares the cusp 0 or 1 with ∞, and the two
+folds there compose to a parabolic that moves a slope near the cusp one
+step per pair of folds.  The reduction emits such a run in closed form:
+one division gives its length, and the steps it records are the ones the
+alternating folds would record, a single reflection each.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import cycle
+from functools import lru_cache
 from typing import NamedTuple
 
 from .slopes import (
@@ -32,6 +38,8 @@ from .slopes import (
 #: Bound on the folds that move s in one fundamental-domain reduction.  The
 #: alternating fold terminates, but near the cusps 0 and 1 it takes one
 #: fold per step of a parabolic, so long cusp reductions hit this bound.
+#: A cusp run is emitted in closed form yet counts every fold it stands
+#: for, and raises before building any step if it would reach the bound.
 MAX_FOLD_ROUNDS = 10000
 
 
@@ -151,6 +159,10 @@ def fold(s: Slope, frame: Frame) -> tuple[Slope, list[Step]]:
     return cur, steps
 
 
+#: The frame at ∞, x ↦ -x.
+_AT_INFINITY = vertex_frame(INFINITY)
+
+
 @dataclass(frozen=True)
 class ReductionTrace:
     """A slope, the reflections applied to it, and where it landed."""
@@ -180,19 +192,77 @@ def reduce_to_fundamental(s: Slope, r: Slope) -> ReductionTrace:
     """
     if not (ZERO < r < ONE):
         raise ValueError(f"reduction needs 0 < r < 1, got {r}")
-    at_infinity = vertex_frame(INFINITY)
-    cur, steps = fold(s, at_infinity)
+    return _reduce(s, r, vertex_frame(r))
+
+
+def _reduce(s: Slope, r: Slope, frame: Frame) -> ReductionTrace:
+    """reduce_to_fundamental for a checked r and its frame."""
+    cur, steps = fold(s, _AT_INFINITY)
     rounds = 1 if steps else 0  # folds that moved s
-    for frame in cycle((vertex_frame(r), at_infinity)):
-        cur, more = fold(cur, frame)
-        if not more:  # the previous frame leaves cur in place too
-            break
-        steps.extend(more)
-        rounds += 1
-        if rounds == MAX_FOLD_ROUNDS:
-            raise CapExceededError(
-                f"reduction of {s} at {r} exceeded {MAX_FOLD_ROUNDS} rounds")
-    return ReductionTrace(s, tuple(steps), cur)
+    cusp = r.num == 1 or r.den - r.num == 1  # r1 = 0 or r2 = 1
+    frames = (frame, _AT_INFINITY)
+    while True:
+        if cusp:
+            cur, rounds = _cusp_run(s, r, cur, steps, rounds)
+        for f in frames:
+            cur, more = fold(cur, f)
+            if not more:  # the other frame leaves cur in place too
+                return ReductionTrace(s, tuple(steps), cur)
+            steps.extend(more)
+            rounds += 1
+            if rounds == MAX_FOLD_ROUNDS:
+                raise _cap_exceeded(s, r)
+
+
+def _cusp_run(s: Slope, r: Slope, cur: Slope, steps: list[Step],
+              rounds: int) -> tuple[Slope, int]:
+    """Append the run of folds that cur starts at a cusp r shares with ∞.
+
+    Called before a fold at r = 1/m.  For cur = a/b with b >= (2m+1)·a > 0
+    the next 2j folds, j = ⌊(b - (2m+1)·a)/(2m·a)⌋ + 1, each use one
+    reflection: in the edge (0, r), then x ↦ -x.  Their product is a
+    parabolic fixing 0, and the i-th pair lands on -a/d and a/d with
+    d = b - 2m·i·a.  At r = (m-1)/m the same holds in the coordinate 1 - x,
+    with the edge (r, 1) and x ↦ 2 - x.  Returns the new point and round
+    count, or cur and rounds unchanged when no run starts at cur.
+    """
+    m2 = 2 * r.den
+    num, b = cur.num, cur.den
+    if r.num == 1 and 0 < (m2 + 1) * num <= b:
+        a, c, cusp = num, 0, ZERO
+    elif r.den - r.num == 1 and 0 < (m2 + 1) * (b - num) <= b:
+        a, c, cusp = b - num, 1, ONE
+    else:
+        return cur, rounds
+    j = (b - (m2 + 1) * a) // (m2 * a) + 1
+    if rounds + 2 * j >= MAX_FOLD_ROUNDS:
+        raise _cap_exceeded(s, r)
+    at_r = reflection_in_edge(r, cusp)
+    at_infinity = reflection_in_edge(INFINITY, cusp)
+    sa = a if c == 0 else -a  # cur = c + sa/b, the cusp plus a signed offset
+    step = m2 * a
+    for d in range(b - step, b - (j + 1) * step, -step):
+        steps.append((at_r, Slope(c * d - sa, d)))
+        cur = Slope(c * d + sa, d)
+        steps.append((at_infinity, cur))
+    tx, ty = _pull(cur, _AT_INFINITY)
+    if not -ty <= tx <= 0:
+        raise AssertionError(f"cusp run of {s} at {r} failed to reach [0, 1]: {cur}")
+    return cur, rounds + 2 * j
+
+
+def _cap_exceeded(s: Slope, r: Slope) -> CapExceededError:
+    return CapExceededError(f"reduction of {s} at {r} exceeded {MAX_FOLD_ROUNDS} rounds")
+
+
+@lru_cache(maxsize=128)
+def _folded_frame(r: Slope) -> tuple[Slope, Frame]:
+    """A non-integer r folded into (0, 1) about ∞, and the frame there.
+
+    Cached so that a scan or an epimorphism test, which decide many s
+    against one r, fold r and build its frame once."""
+    r_img, _ = fold(r, _AT_INFINITY)
+    return r_img, vertex_frame(r_img)
 
 
 class Route(enum.Enum):
@@ -236,9 +306,8 @@ def classify_orbit(s: Slope, r: Slope) -> Verdict:
     and lies in Γ̂_r; then Γ̂_{g·r} = Γ̂_r, so s itself is reduced to the
     fundamental set of Γ̂_{g·r} and compared against {g·r, ∞}.
     """
-    at_infinity = vertex_frame(INFINITY)
     if r.is_infinite:
-        rep, steps = fold(s, at_infinity)
+        rep, steps = fold(s, _AT_INFINITY)
         trace = ReductionTrace(s, tuple(steps), rep)
         return Verdict(s, r, rep.is_infinite, rep, trace, Route.R_INFINITY)
     if r.den == 1:
@@ -246,7 +315,7 @@ def classify_orbit(s: Slope, r: Slope) -> Verdict:
         member = cls in (slope_parity_class(r), ParityClass.INFINITY)
         trace = ReductionTrace(s, (), s)
         return Verdict(s, r, member, parity_vertex(cls), trace, Route.R_INTEGER)
-    r_img, _ = fold(r, at_infinity)
-    trace = reduce_to_fundamental(s, r_img)
+    r_img, frame = _folded_frame(r)
+    trace = _reduce(s, r_img, frame)
     rep = trace.result
     return Verdict(s, r, rep.is_infinite or rep == r_img, rep, trace, Route.GENERIC)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 from twobridge.cli import main
+from twobridge.reflections import Reflection
 from twobridge.slopes import Slope
 
 
@@ -182,3 +184,36 @@ def test_negative_slopes_parse_without_separator(capsys):
     assert run_cli(capsys, "null", "-1/3", "1/2") == (
         0, "null-homotopic = false\nrepresentative = 1/1\nroute = GENERIC\n", "")
     assert run_cli(capsys, "epi", "-inf", "1/3")[:2] == (0, "epimorphism = true\n")
+
+
+# null and reduce on cusp, generic, integer and ∞ r, and one request over
+# the round cap, in every combination of --json and --trace.
+TRACE_PAIRS = (("1/6", "1/3"), ("1/3001", "1/3"), ("2999/3001", "2/3"),
+               ("-1/19999", "1/2"), ("19997/10000", "1/2"), ("5/13", "2/7"),
+               ("1/3", "4"), ("3/5", "inf"), ("1/20003", "1/2"), ("7/3", "7/3"))
+#: sha256 of the JSON list of [argv, exit code, stdout, stderr] of every
+#: TRACE_PAIRS request, computed before the cusp runs and the one-rendering
+#: output of null and reduce were introduced.
+TRACE_OUTPUT_DIGEST = "506e2f4d53f38dec21adc63abc976e2e4183d39a9f9dac7dc193c610625cd0f0"
+
+
+def test_trace_output_unchanged(capsys):
+    rows = []
+    for verb in ("null", "reduce"):
+        for s, r in TRACE_PAIRS:
+            for pre in ([], ["--json"]):
+                for post in ([], ["--trace"]):
+                    argv = pre + [verb] + post + ["--", s, r]
+                    rows.append([argv, *run_cli(capsys, *argv)])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == TRACE_OUTPUT_DIGEST
+
+
+def test_json_trace_builds_no_text(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a reflection was rendered as text under --json")
+
+    monkeypatch.setattr(Reflection, "__str__", refuse)
+    for verb in ("null", "reduce"):
+        code, out, err = run_cli(capsys, "--json", verb, "--trace", "1/3001", "1/3")
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["trace"]["steps"]) == 1000

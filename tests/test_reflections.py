@@ -1,12 +1,19 @@
 import math
+import random
+import tracemalloc
+from itertools import cycle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from twobridge.slopes import INFINITY, ONE, ZERO, Slope, farey_interval, fundamental_endpoints
+from twobridge import reflections
+from twobridge.decide import ScanMode, scan
 from twobridge.reflections import (
+    MAX_FOLD_ROUNDS,
     CapExceededError,
     Reflection,
+    ReductionTrace,
     classify_orbit,
     fold,
     reduce_to_fundamental,
@@ -150,6 +157,95 @@ def test_reduce_round_cap_boundary():
     assert len(tr.steps) == 9999 and tr.result == ONE
     with pytest.raises(CapExceededError):
         reduce_to_fundamental(Slope(1, 20003), Slope(1, 2))
+
+
+def _alternating_reference(s, r):
+    # The plain alternation of the folds at ∞ and at r, one fold per
+    # round, with the round cap: the reference for the cusp runs.
+    at_infinity = vertex_frame(INFINITY)
+    cur, steps = fold(s, at_infinity)
+    rounds = 1 if steps else 0
+    for frame in cycle((vertex_frame(r), at_infinity)):
+        cur, more = fold(cur, frame)
+        if not more:
+            break
+        steps.extend(more)
+        rounds += 1
+        if rounds == MAX_FOLD_ROUNDS:
+            raise CapExceededError(
+                f"reduction of {s} at {r} exceeded {MAX_FOLD_ROUNDS} rounds")
+    return ReductionTrace(s, tuple(steps), cur)
+
+
+def _outcome(reduce, s, r):
+    try:
+        trace = reduce(s, r)
+    except CapExceededError as exc:
+        return str(exc)
+    return trace.start, [(refl.entries(), image) for refl, image in trace.steps], trace.result
+
+
+def _cusp_slopes(m, rng):
+    # s = P^n·x near each cusp of r = 1/m or (m-1)/m: P moves a/b to
+    # a/(b + 2m·a) in the cusp coordinate (x near 0, 1 - x near 1).  Small
+    # n come on both sides of each cusp; deep n, whose reference takes
+    # 2n folds, on one side drawn at random.  n = 4999 puts 2n rounds just
+    # below the cap, so some of these land and some raise.
+    for n in (0, 1, 2, 3, 7, 60, rng.randrange(100, 4999), 4999):
+        for a, b in ((1, 1), (1, 2), (2, 3), (3, 7)) if n < 100 else ((1, 2),):
+            d = b + 2 * m * n * a
+            near_0, near_1 = (Slope(a, d), Slope(-a, d)), (Slope(d - a, d), Slope(d + a, d))
+            if n < 100:
+                yield near_0 + near_1
+            else:
+                yield rng.choice(near_0), rng.choice(near_1)
+
+
+def test_cusp_runs_match_alternating_reference():
+    rng = random.Random(20261019)
+    for m in range(2, 13):
+        for r, cusps in ((Slope(1, m), (ZERO,)), (Slope(m - 1, m), (ONE,))):
+            if m == 2:
+                cusps = (ZERO, ONE)
+            for s_pair in _cusp_slopes(m, rng):
+                for s in s_pair:
+                    if (s.num < s.den // 2) == (cusps == (ONE,)):
+                        continue  # near the other cusp, which r does not have
+                    assert _outcome(reduce_to_fundamental, s, r) == _outcome(
+                        _alternating_reference, s, r), (s, r)
+            for _ in range(40):
+                p = rng.randint(1, 10 ** 6)
+                q = rng.choice((rng.randint(-p, 2 * p), p // rng.randint(1, 60) or 1,
+                                p - p // rng.randint(1, 60)))
+                s = Slope(q, p)
+                assert _outcome(reduce_to_fundamental, s, r) == _outcome(
+                    _alternating_reference, s, r), (s, r)
+
+
+def test_deep_cusp_slope_raises_before_building_steps():
+    # 2^58 rounds deep: the cap is found from the run length alone.
+    for s, r in ((Slope(1, 2 ** 58 + 1), Slope(1, 2)), (Slope(2 ** 58, 2 ** 58 + 1), Slope(4, 5)),
+                 (Slope(-1, 2 ** 58 + 3), Slope(1, 7))):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError):
+                reduce_to_fundamental(s, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (s, r, peak)
+
+
+def test_scan_folds_r_once(monkeypatch):
+    # A scan decides every candidate against one r: r is folded and its
+    # frame built once, not once per candidate.
+    calls = []
+    frame_of = reflections.vertex_frame
+    monkeypatch.setattr(reflections, "vertex_frame", lambda v: calls.append(v) or frame_of(v))
+    reflections._folded_frame.cache_clear()
+    for mode in ScanMode:
+        assert scan(Slope(47, 37), 30, mode)
+    assert calls == [Slope(27, 37)]  # 47/37 folds onto 2 - 47/37
 
 
 def test_reduce_is_idempotent():
