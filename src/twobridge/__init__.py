@@ -41,13 +41,8 @@ from .words import (
 from .seqs import (
     CyclicSequence,
     Decomposition,
-    ceil_star,
-    contains_cyclic_factor,
     cyclic_s_sequence,
-    cyclic_s_sequence_of_word,
-    cyclic_t_sequence,
     decompose,
-    floor_star,
     s_sequence,
     s_sequence_of_word,
     t_sequence,

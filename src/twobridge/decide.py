@@ -58,10 +58,17 @@ def connection_criterion(s: Slope, r: Slope) -> bool:
 
 def scan(r: Slope, max_den: int, mode: ScanMode = ScanMode.NULLHOMOTOPY) -> list[Slope]:
     """All s with 0 <= s <= 1 and denominator <= max_den, plus ∞, that
-    satisfy the chosen predicate against r; sorted ascending (∞ last)."""
+    satisfy the chosen predicate against r; sorted ascending (∞ last).
+
+    Each candidate is decided once.  The epimorphism scan reads the null
+    hits: the orbit is invariant under x ↦ -x and x ↦ x + 2, so s - 1 (or
+    s + 1 at s = 0) is a hit exactly when the candidate 1 - s is, and ∞ is
+    always a hit."""
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     candidates = farey_interval(max_den) + [INFINITY]
+    hits = [s for s in candidates if classify_orbit(s, r).answer]
     if mode is ScanMode.NULLHOMOTOPY:
-        return [s for s in candidates if classify_orbit(s, r).answer]
-    return [s for s in candidates if has_umpp_epimorphism(s, r)]
+        return hits
+    null = set(hits)
+    return [s for s in candidates if s in null or -(s - 1) in null]

@@ -18,11 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .slopes import ONE, ZERO, Slope
-from .seqs import (
-    contains_cyclic_factor,
-    decompose,
-    s_sequence,
-)
+from .seqs import count_cyclic_factor, decompose, s_sequence
 from .words import (
     canonical_rotation,
     inverse_word,
@@ -89,8 +85,8 @@ class CatalogItem:
     spans: tuple[Span, ...]
 
 
-def piece_product_catalog(r: Slope, n_pieces: int) -> list[CatalogItem]:
-    """Closed-form catalog of the maximal n-piece subwords (n = 1, 2, 3),
+def piece_product_catalog(r: Slope) -> dict[int, list[CatalogItem]]:
+    """Closed-form catalog of the maximal n-piece subwords for n = 1, 2, 3,
     phrased through the v1 v2 v3 v4 splitting of the relator, where v1, v3
     carry the palindromic half S1 and v2, v4 carry S2.
 
@@ -99,87 +95,58 @@ def piece_product_catalog(r: Slope, n_pieces: int) -> list[CatalogItem]:
     Expanding all families reproduces exactly the spans found by the
     brute-force enumeration (``verification.maximal_piece_products``).
     """
-    if n_pieces not in (1, 2, 3):
-        raise ValueError("catalog covers n = 1, 2, 3 only")
     d = decompose(r)
     n1, n2 = sum(d.s1), sum(d.s2)
     u = relator(r)
     total = len(u)
     # Offset of the canonical rotation inside the relator.
     delta = (u + u).index(canonical_rotation(u))
+    # Blocks v1..v4 of lengths (n1, n2, n1, n2).  A single-term expansion
+    # has n1 = 0 and u = v2 v4, so its runs step over the empty v1, v3.
+    lengths = (n1, n2, n1, n2)
+    bases = (0, n1, n1 + n2, 2 * n1 + n2)
+    step, firsts = (1, range(4)) if n1 else (2, (1, 3))
 
-    def span(start: int, length: int) -> Span:
-        return ((start - delta) % total, length)
+    def run(prefix: list[str], k: int, skip: int, count: int, short: bool) -> tuple[str, int]:
+        # `count` whole blocks from the `skip`-th block after v_k, one
+        # letter short when `short`.
+        blocks = [(k + step * i) % 4 for i in range(skip, skip + count)]
+        label = " ".join(prefix + [f"v{b + 1}" for b in blocks]) + ("b*" if short else "")
+        return label, sum(lengths[b] for b in blocks) - short
 
-    def family(label: str, base: int, head: int, fixed: int) -> CatalogItem:
-        # Starts strictly inside a block of length `head`; the piece takes
-        # the rest of the block plus `fixed` more letters.
-        spans = tuple(span(base + j, head - j + fixed) for j in range(1, head))
-        return CatalogItem(label, spans)
-
-    items: list[CatalogItem]
-    if n1 == 0:  # single-term expansion: u = v2 v4, both of length n2
-        b2, b4 = 0, n2
-        m = n2
-        if n_pieces == 1:
-            items = [
-                CatalogItem("v2b*", (span(b2, m - 1),)),
-                family("v2e", b2, m, 0),
-                CatalogItem("v4b*", (span(b4, m - 1),)),
-                family("v4e", b4, m, 0),
-            ]
-        elif n_pieces == 2:
-            items = [
-                CatalogItem("v2", (span(b2, m),)),
-                family("v2e v4b*", b2, m, m - 1),
-                CatalogItem("v4", (span(b4, m),)),
-                family("v4e v2b*", b4, m, m - 1),
-            ]
-        else:
-            items = [
-                CatalogItem("v2 v4b*", (span(b2, 2 * m - 1),)),
-                family("v2e v4", b2, m, m),
-                CatalogItem("v4 v2b*", (span(b4, 2 * m - 1),)),
-                family("v4e v2", b4, m, m),
-            ]
-    else:
-        # Blocks v1..v4 of lengths (n1, n2, n1, n2); v1 and v3 carry S1.
-        lengths = (n1, n2, n1, n2)
-        bases = (0, n1, n1 + n2, 2 * n1 + n2)
-
-        def run(blocks: list[int]) -> tuple[str, int]:
-            # Whole blocks in order; a run ending in v1 or v3 stops one
-            # letter short.
-            short = blocks[-1] % 2 == 0
-            label = " ".join(f"v{k + 1}" for k in blocks) + ("b*" if short else "")
-            return label, sum(lengths[k] for k in blocks) - short
-
-        items = []
-        for k in range(4):
-            # From the start of v_k through n blocks (n + 1 from v2 or v4) ...
-            label, length = run([(k + i) % 4 for i in range(n_pieces + k % 2)])
-            items.append(CatalogItem(label, (span(bases[k], length),)))
-            # ... and from inside v_k to its end, then through n blocks.
-            label, length = run([(k + i) % 4 for i in range(1, n_pieces + 1)])
-            items.append(family(f"v{k + 1}e {label}", bases[k], lengths[k], length))
-    return items
-
-
-def catalog_spans(r: Slope, n_pieces: int) -> list[Span]:
-    """All spans of the closed-form catalog, sorted by start position."""
-    out: list[Span] = []
-    for item in piece_product_catalog(r, n_pieces):
-        out.extend(item.spans)
-    out.sort()
-    return out
+    catalog: dict[int, list[CatalogItem]] = {}
+    for n in (1, 2, 3):
+        items = catalog[n] = []
+        for k in firsts:
+            if n1:
+                # From the start of v_k through n blocks (n + 1 from v2 or
+                # v4), and from inside v_k to its end, then through n
+                # blocks; a run ending in v1 or v3 stops one letter short.
+                whole, rest = n + k % 2, n
+                whole_short = (k + whole - 1) % 2 == 0
+                rest_short = (k + rest) % 2 == 0
+            else:
+                # From the start of v2 or v4 through ⌈n/2⌉ blocks, short for
+                # odd n; from inside to its end plus ⌊n/2⌋ blocks, short for
+                # even n.
+                whole, rest = (n + 1) // 2, n // 2
+                whole_short, rest_short = n % 2 == 1, n % 2 == 0
+            label, length = run([], k, 0, whole, whole_short)
+            items.append(CatalogItem(label, (((bases[k] - delta) % total, length),)))
+            label, length = run([f"v{k + 1}e"], k, 1, rest, rest_short)
+            head = lengths[k]
+            items.append(CatalogItem(label, tuple(
+                ((bases[k] + j - delta) % total, head - j + length)
+                for j in range(1, head))))
+    return catalog
 
 
 def t4_structural(r: Slope) -> bool:
     """T(4) via the structure of the relators: a triple w1, w2, w3 with all
     three products w1w2, w2w3, w3w1 reducible would force a generator
-    repetition in some wi, impossible for cyclically alternating words."""
-    u = relator(r)
-    return is_cyclically_alternating(u) and is_cyclically_alternating(inverse_word(u))
+    repetition in some wi, impossible for cyclically alternating words.
+    (The inverse of a cyclically alternating word is one too.)"""
+    return is_cyclically_alternating(relator(r))
 
 
 def t4_by_triples(relators: Sequence[str]) -> bool:
@@ -240,7 +207,8 @@ def small_cancellation_report(r: Slope) -> PieceReport:
     factorization over that table (the inverse has the same minimum, since
     the inverse of a piece is a piece).  T(4) is the structural criterion.
     """
-    catalog = {n: tuple(catalog_spans(r, n)) for n in (1, 2, 3)}
+    catalog = {n: tuple(sorted(span for item in items for span in item.spans))
+               for n, items in piece_product_catalog(r).items()}
     if [start for start, _ in catalog[1]] != list(range(2 * r.den)):
         raise AssertionError(f"1-piece catalog of {r} is not one span per start")
     min_pieces = min_piece_factorization([length for _, length in catalog[1]])
@@ -264,7 +232,5 @@ def satisfies_necessary_condition(s: Slope, r: Slope) -> bool:
     needle_a = d.s1 + d.s2
     needle_b = d.s2 + d.s1
     haystack = s_sequence(s)  # one rotation of CS(s) is enough to search
-    if len(needle_a) > len(haystack):
-        return False
-    return (contains_cyclic_factor(haystack, needle_a)
-            or contains_cyclic_factor(haystack, needle_b))
+    return (count_cyclic_factor(haystack, needle_a) > 0
+            or count_cyclic_factor(haystack, needle_b) > 0)

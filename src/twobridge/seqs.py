@@ -27,30 +27,11 @@ from .slopes import (
     cf_value,
     fundamental_endpoints,
 )
-from .words import CyclicWord, _least_rotation_start, is_reduced
+from .words import _least_rotation_start, is_reduced
 
 Seq = tuple[int, ...]
 
 _RUNS = re.compile(r"[ab]+|[AB]+")
-
-
-def floor_star(x) -> int:
-    """Greatest integer strictly below x (so floor_star(2) == 1).
-
-    Accepts int, Fraction or finite Slope.
-    """
-    n, d = x.numerator, x.denominator
-    if d == 0:
-        raise ValueError("floor_star needs a finite rational")
-    return (n - 1) // d
-
-
-def ceil_star(x) -> int:
-    """Smallest integer strictly above x (so ceil_star(3) == 4)."""
-    n, d = x.numerator, x.denominator
-    if d == 0:
-        raise ValueError("ceil_star needs a finite rational")
-    return n // d + 1
 
 
 def s_sequence_of_word(v: str) -> Seq:
@@ -118,17 +99,6 @@ def format_sequence(seq: Sequence[int]) -> str:
     return "(" + ",".join(str(t) for t in seq) + ")"
 
 
-def cyclic_s_sequence_of_word(v: CyclicWord) -> CyclicSequence:
-    """Sign run lengths of a cyclic word, wrap-around runs merged."""
-    w = v.letters
-    if len(w) < 2:
-        raise ValueError("cyclic S-sequence needs length >= 2")
-    lens = [len(run) for run in _RUNS.findall(w)]
-    if len(lens) >= 2 and w[0].islower() == w[-1].islower():
-        lens = [lens[-1] + lens[0]] + lens[1:-1]
-    return CyclicSequence(tuple(lens))
-
-
 def s_sequence(r: Slope) -> Seq:
     """S-sequence of a positive rational slope q/p (length 2q): the j-th
     term is ⌊jp/q⌋* − ⌊(j−1)p/q⌋*, j = 1..2q.
@@ -163,10 +133,6 @@ def t_sequence(r: Slope) -> Seq:
     if terms[1] == 1:
         return s_sequence(cf_value(terms[2:]))
     return s_sequence(cf_value((terms[1] - 1,) + terms[2:]))[::-1]
-
-
-def cyclic_t_sequence(r: Slope) -> CyclicSequence:
-    return CyclicSequence(t_sequence(r))
 
 
 @dataclass(frozen=True)
@@ -222,25 +188,14 @@ def decompose(r: Slope) -> Decomposition:
     return Decomposition(s1, s2)
 
 
-def contains_cyclic_factor(haystack: Sequence[int], needle: Seq) -> bool:
-    """Whether some rotation of the cyclic sequence starts with needle
+def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
+    """Number of rotations of the cyclic sequence that start with needle
     (contiguous, wrap-around allowed).  The haystack is any one rotation:
     a CyclicSequence or a plain sequence.
 
-    >>> contains_cyclic_factor((1, 2, 3), (3, 1))
-    True
+    >>> count_cyclic_factor((1, 2, 3), (3, 1))
+    1
     """
-    if not needle:
-        raise ValueError("needle must be non-empty")
-    if len(needle) > len(haystack):
-        raise ValueError("needle longer than haystack")
-    coded = _coded_search(haystack, needle)
-    return coded is not None and coded[1] in coded[0]
-
-
-def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
-    """Number of rotations of the cyclic sequence that start with needle;
-    the haystack is any one rotation, as for contains_cyclic_factor."""
     if not needle:
         raise ValueError("needle must be non-empty")
     if len(needle) > len(haystack):

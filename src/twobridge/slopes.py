@@ -51,16 +51,6 @@ class Slope:
         self.num = num
         self.den = den
 
-    # fractions.Fraction-compatible field names, so floor_star & friends
-    # accept Slope, Fraction and int alike.
-    @property
-    def numerator(self) -> int:
-        return self.num
-
-    @property
-    def denominator(self) -> int:
-        return self.den
-
     @property
     def is_infinite(self) -> bool:
         return self.den == 0

@@ -515,15 +515,15 @@ def check_small_cancellation(max_p: int = 50) -> CheckResult:
                  == min_piece_factorization(piece_length_table(cw.inverse(), relators)),
                  f"min pieces at {r}")
         f.expect(initial_letter_spread(u, relators), f"initial letters at {r}")
+        families = piece_product_catalog(r)
         for n in (1, 2, 3):
             brute = maximal_piece_products(table, n)
             f.expect(brute == list(report.maximal_piece_catalog[n]),
                      f"catalog n={n} at {r}")
             f.expect(all(length < 2 * p for _, length in brute),
                      f"no full-word {n}-piece product at {r}")
-            families = piece_product_catalog(r, n)
             expected = 4 if len(cf_expand(r)) == 1 else 8
-            f.expect(len(families) == expected, f"family count n={n} at {r}")
+            f.expect(len(families[n]) == expected, f"family count n={n} at {r}")
         if p <= CLOSURE_BOUND:
             # Subword closure: every subword of a maximal piece is a piece,
             # cross-validated against the exhaustive prefix scan.

@@ -13,19 +13,10 @@ from typing import Sequence
 
 from .slopes import ONE, ZERO, Slope, _positive_pair
 
-ALPHABET = "aAbB"
-
 #: Letter comparison order a < a⁻¹ < b < b⁻¹ used for canonical rotations.
 _ORDER = str.maketrans("aAbB", "\x00\x01\x02\x03")
 
 _REDUCIBLE_PAIRS = ("aA", "Aa", "bB", "Bb")
-
-
-def letter(generator: str, exponent: int) -> str:
-    """One of the four letters, e.g. letter("b", -1) == "B"."""
-    if generator not in ("a", "b") or exponent not in (1, -1):
-        raise ValueError(f"no letter for ({generator!r}, {exponent})")
-    return generator if exponent == 1 else generator.upper()
 
 
 def inverse_word(w: str) -> str:
@@ -226,11 +217,3 @@ def format_word(w: str) -> str:
     """External text form: letter tokens, with the empty word printed as 1."""
     return w or "1"
 
-
-def parse_word(text: str) -> str:
-    t = text.strip()
-    if t == "1":
-        return ""
-    if set(t) - set(ALPHABET):
-        raise ValueError(f"malformed word {text!r}")
-    return t

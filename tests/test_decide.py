@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from twobridge.slopes import INFINITY, ONE, ZERO, Slope, cf_value
+from twobridge.slopes import INFINITY, ONE, ZERO, Slope, cf_value, farey_interval
 from twobridge.decide import (
     Route,
     ScanMode,
@@ -102,6 +102,19 @@ def test_scan_modes_nest():
     null_hits = set(scan(Slope(2, 5), 12, ScanMode.NULLHOMOTOPY))
     epi_hits = set(scan(Slope(2, 5), 12, ScanMode.EPIMORPHISM))
     assert null_hits <= epi_hits
+
+
+def test_epi_scan_matches_per_candidate_decision():
+    # The epimorphism scan reads s - 1 off the null hit 1 - s; the
+    # reference decides every candidate on its own.
+    proper = [Slope(q, p) for p in range(2, 31) for q in range(1, p)
+              if math.gcd(q, p) == 1]
+    shifted = [Slope(3, 2), Slope(-1, 2), Slope(5, 2), Slope(-10, 37), Slope(47, 37)]
+    integers = [ZERO, ONE, Slope(3), Slope(-2)]
+    candidates = farey_interval(20) + [INFINITY]
+    for r in proper + shifted + integers + [INFINITY]:
+        expected = [s for s in candidates if has_umpp_epimorphism(s, r)]
+        assert scan(r, 20, ScanMode.EPIMORPHISM) == expected, r
 
 
 def test_scan_transport_under_link_symmetry():

@@ -7,7 +7,6 @@ import pytest
 from twobridge import pieces, verification
 from twobridge.slopes import ONE, Slope, ZERO
 from twobridge.pieces import (
-    catalog_spans,
     min_piece_factorization,
     piece_product_catalog,
     satisfies_necessary_condition,
@@ -119,27 +118,44 @@ def test_maximal_piece_products_match_catalog():
     # is also checked beyond the suites' p <= 50.
     slopes = [Slope(q, p) for p in range(2, 26) for q in range(1, p)
               if math.gcd(q, p) == 1]
-    for r in slopes + [Slope(55, 89), Slope(7, 300), Slope(101, 300)]:
+    for r in slopes + [Slope(1, 60), Slope(1, 299), Slope(55, 89), Slope(7, 300),
+                       Slope(101, 300)]:
+        catalog = small_cancellation_report(r).maximal_piece_catalog
         for n in (1, 2, 3):
-            assert brute_products(r, n) == catalog_spans(r, n), (r, n)
+            assert brute_products(r, n) == list(catalog[n]), (r, n)
 
 
 def test_catalog_family_counts():
-    assert len(piece_product_catalog(Slope(4, 7), 1)) == 8
-    assert len(piece_product_catalog(Slope(1, 3), 1)) == 4
-    labels = [item.label for item in piece_product_catalog(Slope(4, 7), 1)]
-    assert labels == ["v1b*", "v1e v2", "v2 v3b*", "v2e v3b*",
-                      "v3b*", "v3e v4", "v4 v1b*", "v4e v1b*"]
-    labels = [item.label for item in piece_product_catalog(Slope(1, 3), 1)]
-    assert labels == ["v2b*", "v2e", "v4b*", "v4e"]
+    catalog = piece_product_catalog(Slope(4, 7))
+    assert sorted(catalog) == [1, 2, 3]
+    assert [item.label for item in catalog[1]] == [
+        "v1b*", "v1e v2", "v2 v3b*", "v2e v3b*",
+        "v3b*", "v3e v4", "v4 v1b*", "v4e v1b*"]
+    labels = {n: [item.label for item in items]
+              for n, items in piece_product_catalog(Slope(1, 3)).items()}
+    assert labels == {1: ["v2b*", "v2e", "v4b*", "v4e"],
+                      2: ["v2", "v2e v4b*", "v4", "v4e v2b*"],
+                      3: ["v2 v4b*", "v2e v4", "v4 v2b*", "v4e v2"]}
     for r in (Slope(4, 7), Slope(10, 37)):
-        labels = [item.label for item in piece_product_catalog(r, 2)]
-        assert labels == ["v1 v2", "v1e v2 v3b*", "v2 v3 v4", "v2e v3 v4",
-                          "v3 v4", "v3e v4 v1b*", "v4 v1 v2", "v4e v1 v2"], r
-        labels = [item.label for item in piece_product_catalog(r, 3)]
-        assert labels == ["v1 v2 v3b*", "v1e v2 v3 v4", "v2 v3 v4 v1b*",
-                          "v2e v3 v4 v1b*", "v3 v4 v1b*", "v3e v4 v1 v2",
-                          "v4 v1 v2 v3b*", "v4e v1 v2 v3b*"], r
+        catalog = piece_product_catalog(r)
+        assert [item.label for item in catalog[2]] == [
+            "v1 v2", "v1e v2 v3b*", "v2 v3 v4", "v2e v3 v4",
+            "v3 v4", "v3e v4 v1b*", "v4 v1 v2", "v4e v1 v2"], r
+        assert [item.label for item in catalog[3]] == [
+            "v1 v2 v3b*", "v1e v2 v3 v4", "v2 v3 v4 v1b*",
+            "v2e v3 v4 v1b*", "v3 v4 v1b*", "v3e v4 v1 v2",
+            "v4 v1 v2 v3b*", "v4e v1 v2 v3b*"], r
+
+
+def test_report_builds_the_catalog_once(monkeypatch):
+    calls = []
+    build = pieces.piece_product_catalog
+    monkeypatch.setattr(pieces, "piece_product_catalog",
+                        lambda r: calls.append(r) or build(r))
+    for r in (Slope(4, 7), Slope(1, 3)):
+        calls.clear()
+        small_cancellation_report(r)
+        assert calls == [r]
 
 
 def test_no_three_piece_product_covers_relator():

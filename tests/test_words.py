@@ -19,8 +19,6 @@ from twobridge.words import (
     is_cyclically_alternating,
     is_cyclically_reduced,
     is_reduced,
-    letter,
-    parse_word,
     relator,
 )
 from twobridge.words import _least_rotation_start
@@ -28,15 +26,6 @@ from twobridge.seqs import s_sequence, s_sequence_of_word
 from twobridge.verification import relator_by_floor, relator_by_line_walk
 
 words = st.text(alphabet="aAbB", max_size=40)
-
-
-def test_letter_values():
-    assert letter("a", 1) == "a"
-    assert letter("b", -1) == "B"
-    with pytest.raises(ValueError):
-        letter("c", 1)
-    with pytest.raises(ValueError):
-        letter("a", 2)
 
 
 def test_half_relator_examples():
@@ -142,10 +131,6 @@ def test_automorphism_shift_small():
 def test_word_text_format():
     assert format_word("") == "1"
     assert format_word("abA") == "abA"
-    assert parse_word("1") == ""
-    assert parse_word("abAB") == "abAB"
-    with pytest.raises(ValueError):
-        parse_word("abc")
 
 
 @given(words)
