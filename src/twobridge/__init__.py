@@ -16,8 +16,6 @@ from .slopes import (
     INFINITY,
     ONE,
     ZERO,
-    ContinuedFraction,
-    ParityClass,
     Slope,
     cf_expand,
     cf_value,
@@ -26,7 +24,6 @@ from .slopes import (
     mediant,
     parse_slope,
     schubert_equivalent,
-    slope_parity_class,
 )
 from .words import (
     CyclicWord,

@@ -3,8 +3,8 @@
 Every verb prints exact rational text (never floating point); --json
 switches to a stable JSON rendering.  Answers are carried in the output,
 never in the exit status: 0 means the command ran, 1 means a `verify`
-suite failed, 2 means malformed input, 3 means an internal arithmetic or
-iteration error.
+suite failed, 2 means malformed input, 3 means an internal error: an
+arithmetic, iteration, memory or recursion limit was hit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import verification
 from .decide import ScanMode, has_umpp_epimorphism, is_null_homotopic, scan
 from .reflections import CapExceededError
 from .seqs import (
-    cyclic_s_sequence,
+    CyclicSequence,
     decompose,
     format_sequence,
     s_sequence,
@@ -77,7 +77,7 @@ def _cmd_seq(args) -> int:
     if r.is_infinite or r <= ZERO:
         raise ValueError("seq needs a positive rational slope")
     s = s_sequence(r)
-    cs = cyclic_s_sequence(r)
+    cs = CyclicSequence(s)
     lines = [f"S = {format_sequence(s)}", f"CS = {cs}"]
     obj = {"r": str(r), "s": list(s), "cs": list(cs.terms)}
     if len(cf_expand(r)) >= 2:
@@ -240,8 +240,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (OverflowError, CapExceededError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (OverflowError, CapExceededError, MemoryError, RecursionError) as exc:
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -47,8 +47,8 @@ def connection_criterion(s: Slope, r: Slope) -> bool:
     """Continued-fraction test for s = [l1..lt] against r = [m1..mk]:
     t >= k, the first k-1 terms agree, and lk >= mk or (lk = mk - 1 with
     t > k).  For s in (0,1] this holds exactly when r1 < s < r2."""
-    ls = cf_expand(s).terms
-    ms = cf_expand(r).terms
+    ls = cf_expand(s)
+    ms = cf_expand(r)
     k, t = len(ms), len(ls)
     if t < k or ls[:k - 1] != ms[:k - 1]:
         return False

@@ -28,11 +28,9 @@ from .slopes import (
     INFINITY,
     ONE,
     ZERO,
-    ParityClass,
     Slope,
     fundamental_endpoints,
     parity_vertex,
-    slope_parity_class,
 )
 
 #: Bound on the folds that move s in one fundamental-domain reduction.  The
@@ -300,21 +298,22 @@ def classify_orbit(s: Slope, r: Slope) -> Verdict:
     """Decide s ∈ Γ̂_r · {r, ∞} together with the certifying reduction.
 
     r = ∞: s is folded into [0, 1] about ∞ and is a member only at ∞.
-    Integer r: Γ̂_r is the full edge-reflection group, whose orbits are the
-    parity classes, so the class of s decides, with an empty trace.  Any
-    other r alone is folded into (0, 1) about ∞, by some g that fixes ∞
-    and lies in Γ̂_r; then Γ̂_{g·r} = Γ̂_r, so s itself is reduced to the
-    fundamental set of Γ̂_{g·r} and compared against {g·r, ∞}.
+    Integer r: Γ̂_r is the full edge-reflection group, whose orbits are
+    fixed by the parity vertex 0, 1 or ∞, so the vertex of s decides, with
+    an empty trace.  Any other r alone is folded into (0, 1) about ∞, by
+    some g that fixes ∞ and lies in Γ̂_r; then Γ̂_{g·r} = Γ̂_r, so s itself
+    is reduced to the fundamental set of Γ̂_{g·r} and compared against
+    {g·r, ∞}.
     """
     if r.is_infinite:
         rep, steps = fold(s, _AT_INFINITY)
         trace = ReductionTrace(s, tuple(steps), rep)
         return Verdict(s, r, rep.is_infinite, rep, trace, Route.R_INFINITY)
     if r.den == 1:
-        cls = slope_parity_class(s)
-        member = cls in (slope_parity_class(r), ParityClass.INFINITY)
+        v = parity_vertex(s)
+        member = v in (parity_vertex(r), INFINITY)
         trace = ReductionTrace(s, (), s)
-        return Verdict(s, r, member, parity_vertex(cls), trace, Route.R_INTEGER)
+        return Verdict(s, r, member, v, trace, Route.R_INTEGER)
     r_img, frame = _folded_frame(r)
     trace = _reduce(s, r_img, frame)
     rep = trace.result

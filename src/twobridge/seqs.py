@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .slopes import (
     ONE,
@@ -79,18 +79,6 @@ class CyclicSequence:
     def __post_init__(self):
         object.__setattr__(self, "terms", _canonical_rotation(tuple(self.terms)))
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.terms)
-
-    def reversed(self) -> "CyclicSequence":
-        return CyclicSequence(tuple(reversed(self.terms)))
-
-    def is_palindromic(self) -> bool:
-        return self == self.reversed()
-
     def __str__(self) -> str:
         return "((" + ",".join(str(t) for t in self.terms) + "))"
 
@@ -127,7 +115,7 @@ def t_sequence(r: Slope) -> Seq:
     >>> t_sequence(Slope(10, 37))
     (3, 2, 2, 3, 2, 2)
     """
-    terms = cf_expand(r).terms
+    terms = cf_expand(r)
     if len(terms) < 2:
         raise ValueError(f"T-sequence needs an expansion of length >= 2, got {r}")
     if terms[1] == 1:
@@ -166,7 +154,7 @@ def decompose(r: Slope) -> Decomposition:
     """
     if not (ZERO < r < ONE):
         raise ValueError(f"decomposition needs 0 < r < 1, got {r}")
-    terms = cf_expand(r).terms
+    terms = cf_expand(r)
     s = s_sequence(r)
     k = fundamental_endpoints(r)[1].num if len(terms) > 1 else 0
     s1, s2 = s[:k], s[k:r.num]
@@ -189,9 +177,9 @@ def decompose(r: Slope) -> Decomposition:
 
 
 def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
-    """Number of rotations of the cyclic sequence that start with needle
-    (contiguous, wrap-around allowed).  The haystack is any one rotation:
-    a CyclicSequence or a plain sequence.
+    """Number of start positions in haystack, read cyclically, at which
+    needle occurs (contiguous, wrapping around the end).  The haystack is
+    a plain sequence: any one rotation of the cyclic sequence.
 
     >>> count_cyclic_factor((1, 2, 3), (3, 1))
     1

@@ -8,11 +8,9 @@ floating point anywhere in this package.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 #: Hard bound on every stored integer (numerators, denominators, matrix
 #: entries).  Python integers never wrap, so this is purely a loud sanity
@@ -30,7 +28,8 @@ class Slope:
     """A reduced rational number q/p, or the slope ∞ stored as 1/0.
 
     Immutable, hashable and totally ordered, with ∞ greater than every
-    rational.  Denominators are never negative; -1/0 normalizes to 1/0.
+    rational.  A slope compares only with slopes: an int is not coerced.
+    Denominators are never negative; -1/0 normalizes to 1/0.
     """
 
     __slots__ = ("num", "den")
@@ -68,17 +67,8 @@ class Slope:
     def __neg__(self) -> "Slope":
         return Slope(-self.num, self.den)
 
-    @staticmethod
-    def _coerce(other) -> "Slope":
-        if isinstance(other, Slope):
-            return other
-        if isinstance(other, int):
-            return Slope(other)
-        return NotImplemented
-
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Slope):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -88,26 +78,22 @@ class Slope:
     # Cross multiplication is sign-safe because denominators are >= 0,
     # and puts ∞ = 1/0 above every rational.
     def __lt__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Slope):
             return NotImplemented
         return self.num * other.den < other.num * self.den
 
     def __le__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Slope):
             return NotImplemented
         return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Slope):
             return NotImplemented
         return self.num * other.den > other.num * self.den
 
     def __ge__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, Slope):
             return NotImplemented
         return self.num * other.den >= other.num * self.den
 
@@ -149,51 +135,19 @@ def parse_slope(text: str) -> Slope:
         raise ValueError(f"slope {t!r} exceeds the 64-bit working bound") from exc
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """Canonical expansion [m1,...,mk] of a positive rational.
-
-    The value is 1/(m1 + 1/(m2 + ... + 1/mk)).  For a slope in (0,1] all
-    terms are positive and the last is >= 2 unless k = 1; for a slope > 1
-    the leading term is 0 and the rest expand its reciprocal.
-    """
-
-    terms: tuple[int, ...]
-
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        object.__setattr__(self, "terms", terms)
-        tail = terms
-        if terms and terms[0] == 0:
-            tail = terms[1:]
-            if tail == (1,):
-                raise ValueError("[0,1] is not canonical (it denotes 1)")
-        if not tail or any(m < 1 for m in tail):
-            raise ValueError(f"non-canonical continued fraction {list(terms)}")
-        if len(tail) > 1 and tail[-1] < 2:
-            raise ValueError(f"non-canonical continued fraction {list(terms)}")
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.terms)
-
-    def value(self) -> Slope:
-        return cf_value(self.terms)
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(m) for m in self.terms) + "]"
-
-
 # Bounded above the ~1,400 distinct slopes that the criterion-6 suite
 # cycles through at its full bound, so its sweep keeps its hits.
 @lru_cache(maxsize=2048)
-def cf_expand(r: Slope) -> ContinuedFraction:
-    """Canonical continued fraction of a positive rational slope.
+def cf_expand(r: Slope) -> tuple[int, ...]:
+    """Terms (m1,...,mk) of the canonical continued fraction of a positive
+    rational slope, whose value is 1/(m1 + 1/(m2 + ... + 1/mk)).
 
-    >>> str(cf_expand(Slope(5, 17)))
-    '[3,2,2]'
+    For a slope in (0,1] all terms are positive and the last is >= 2
+    unless k = 1; for a slope > 1 the leading term is 0 and the rest
+    expand its reciprocal.
+
+    >>> cf_expand(Slope(5, 17))
+    (3, 2, 2)
     """
     if r.is_infinite or r <= ZERO:
         raise ValueError(f"no canonical expansion for {r}")
@@ -205,7 +159,7 @@ def cf_expand(r: Slope) -> ContinuedFraction:
     while True:
         if q == 1:
             terms.append(p)
-            return ContinuedFraction(tuple(terms))
+            return tuple(terms)
         m, c = divmod(p, q)
         terms.append(m)
         p, q = q, c
@@ -252,7 +206,7 @@ def fundamental_endpoints(r: Slope) -> tuple[Slope, Slope]:
     """
     if not (ZERO < r < ONE):
         raise ValueError(f"fundamental endpoints need 0 < r < 1, got {r}")
-    terms = cf_expand(r).terms
+    terms = cf_expand(r)
     parent = cf_value(terms[:-1])
     sibling = cf_value(terms[:-1] + (terms[-1] - 1,))
     if len(terms) % 2:
@@ -276,40 +230,17 @@ def mediant(a: Slope, b: Slope) -> Slope:
     return Slope(a.num + b.num, a.den + b.den)
 
 
-class ParityClass(enum.Enum):
-    """Orbit class of a slope among the triangle vertices 0, 1, ∞.
+def parity_vertex(s: Slope) -> Slope:
+    """The vertex 0, 1 or ∞ in the orbit of s under the full reflection
+    group of the tessellation.
 
     Every automorphism of the Farey tessellation reduces to the identity
-    mod 2, so the pair (p mod 2, q mod 2) of q/p is a complete invariant
-    for the full edge-reflection group.
+    mod 2, so the pair (p mod 2, q mod 2) of s = q/p is a complete
+    invariant of that orbit: 0 is (1, 0), 1 is (1, 1) and ∞ is (0, 1).
     """
-
-    ZERO = "ZERO"
-    ONE = "ONE"
-    INFINITY = "INFINITY"
-
-
-_PARITY_TABLE = {
-    (1, 0): ParityClass.ZERO,
-    (1, 1): ParityClass.ONE,
-    (0, 1): ParityClass.INFINITY,
-}
-
-_PARITY_VERTEX = {
-    ParityClass.ZERO: ZERO,
-    ParityClass.ONE: ONE,
-    ParityClass.INFINITY: INFINITY,
-}
-
-
-def slope_parity_class(s: Slope) -> ParityClass:
-    """Class of s = q/p under the full reflection group of the tessellation."""
-    return _PARITY_TABLE[(s.den % 2, s.num % 2)]
-
-
-def parity_vertex(cls: ParityClass) -> Slope:
-    """The vertex 0, 1 or ∞ representing a parity class."""
-    return _PARITY_VERTEX[cls]
+    if s.den % 2 == 0:
+        return INFINITY
+    return ONE if s.num % 2 else ZERO
 
 
 def farey_interval(max_den: int) -> list[Slope]:

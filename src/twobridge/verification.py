@@ -47,7 +47,6 @@ from .slopes import (
     INFINITY,
     ONE,
     ZERO,
-    ParityClass,
     Slope,
     _positive_pair,
     cf_expand,
@@ -56,7 +55,7 @@ from .slopes import (
     fundamental_endpoints,
     in_fundamental_intervals,
     mediant,
-    slope_parity_class,
+    parity_vertex,
 )
 from .words import (
     CyclicWord,
@@ -73,7 +72,7 @@ from .words import (
 #: Pruning factors of the breadth-first closures, which stop once
 #: max(|numerator|, denominator) exceeds factor * max_den: oracle
 #: completeness parameters, to be raised if the oracle ever disagrees with
-#: the exact decision or the parity classes.
+#: the exact decision or the parity vertices.
 ORBIT_EXPANSION = 64
 TRIANGLE_EXPANSION = 4
 #: Denominator bounds of the cubic T(4) triple check and of the exhaustive
@@ -157,7 +156,7 @@ def t_sequence_by_runs(r: Slope) -> Seq:
     """T-sequence as the run lengths of the majority term of S(r), for
     r = [m,m2,...]: runs of m+1 when m2 = 1 and runs of m otherwise.  S(r)
     starts with m+1 and ends with m, so no run wraps around."""
-    terms = cf_expand(r).terms
+    terms = cf_expand(r)
     if len(terms) < 2:
         raise ValueError(f"T-sequence needs an expansion of length >= 2, got {r}")
     majority = terms[0] + 1 if terms[1] == 1 else terms[0]
@@ -217,7 +216,7 @@ def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int) -> set[Slope]:
     tessellation (generated by the reflections in the sides of the
     triangle 0, 1, ∞), pruned at TRIANGLE_EXPANSION * max_den.
 
-    This is the oracle for the parity classification of slopes.
+    This is the oracle for the parity vertex of a slope.
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
@@ -363,9 +362,9 @@ def _unit_fractions(max_den: int) -> Iterable[Slope]:
 def check_worked_examples() -> CheckResult:
     """Fixed-value checks for the documented worked examples."""
     f = _Failures()
-    f.expect(str(cf_expand(Slope(5, 17))) == "[3,2,2]", "cf(5/17)")
-    f.expect(str(cf_expand(Slope(10, 37))) == "[3,1,2,3]", "cf(10/37)")
-    f.expect(str(cf_expand(Slope(8, 35))) == "[4,2,1,2]", "cf(8/35)")
+    f.expect(cf_expand(Slope(5, 17)) == (3, 2, 2), "cf(5/17)")
+    f.expect(cf_expand(Slope(10, 37)) == (3, 1, 2, 3), "cf(10/37)")
+    f.expect(cf_expand(Slope(8, 35)) == (4, 2, 1, 2), "cf(8/35)")
     f.expect(half_relator(Slope(4, 7)) == "bABabA", "half relator 4/7")
     f.expect(relator(Slope(4, 7)) == "abABabAbaBAbaB", "relator 4/7")
     f.expect(
@@ -425,7 +424,7 @@ def check_word_generators(max_p: int = 300) -> CheckResult:
 
 def _check_sequence_theorems_for(f: _Failures, r: Slope) -> None:
     q, p = r.num, r.den
-    terms = cf_expand(r).terms
+    terms = cf_expand(r)
     k = len(terms)
     m = terms[0]
     s = s_sequence(r)
@@ -433,8 +432,7 @@ def _check_sequence_theorems_for(f: _Failures, r: Slope) -> None:
     f.expect(len(s) == 2 * q, f"length 2q at {r}")
     f.expect(all(s[j] == s[(j + q) % (2 * q)] for j in range(2 * q)),
              f"half-period at {r}")
-    cs = CyclicSequence(s)
-    f.expect(cs.is_palindromic(), f"cyclic palindrome at {r}")
+    f.expect(CyclicSequence(s) == CyclicSequence(s[::-1]), f"cyclic palindrome at {r}")
     if k == 1:
         f.expect(s == (m, m), f"single-term S at {r}")
     else:
@@ -455,8 +453,8 @@ def _check_sequence_theorems_for(f: _Failures, r: Slope) -> None:
     if r < ONE:
         d = decompose(r)
         if d.s1:
-            f.expect(count_cyclic_factor(cs, d.s1) == 2, f"S1 twice at {r}")
-        f.expect(count_cyclic_factor(cs, d.s2) == 2, f"S2 twice at {r}")
+            f.expect(count_cyclic_factor(s, d.s1) == 2, f"S1 twice at {r}")
+        f.expect(count_cyclic_factor(s, d.s2) == 2, f"S2 twice at {r}")
         r1, r2 = fundamental_endpoints(r)
         f.expect(mediant(r1, r2) == r and r1 < r < r2, f"mediant at {r}")
     if k >= 2:
@@ -602,10 +600,10 @@ def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60,
     expected to fail.
     """
     f = _Failures()
-    s_pool = [(s, cf_expand(s).terms[0]) for s in _unit_fractions(max_s_den)]
+    s_pool = [(s, cf_expand(s)[0]) for s in _unit_fractions(max_s_den)]
     for r in _proper_fractions(max_r_den):
         r1, r2 = fundamental_endpoints(r)
-        terms = cf_expand(r).terms
+        terms = cf_expand(r)
         single_term = len(terms) == 1
         for s, s_lead in s_pool:
             snc = satisfies_necessary_condition(s, r)
@@ -628,28 +626,22 @@ def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60,
 
 def check_special_slopes(max_s_den: int = 40) -> CheckResult:
     """Slope ∞ and the integer slopes: the ∞ orbit is the singleton {∞};
-    parity classes match the full-reflection-group orbits; the loop of
-    slope 1 does not bound for the link of slope 0."""
+    the parity vertex of a slope picks its full-reflection-group orbit;
+    the loop of slope 1 does not bound for the link of slope 0."""
     f = _Failures()
     test_slopes = farey_interval(max_s_den) + [INFINITY]
     f.expect(scan(INFINITY, 10) == [INFINITY], "scan at ∞")
     for s in test_slopes:
         f.expect(is_null_homotopic(s, INFINITY).answer == s.is_infinite,
                  f"∞ decision at {s}")
-    orbits = {
-        cls: triangle_orbit_closure({vertex}, max_s_den)
-        for cls, vertex in ((ParityClass.ZERO, ZERO), (ParityClass.ONE, ONE),
-                            (ParityClass.INFINITY, INFINITY))
-    }
+    orbits = {v: triangle_orbit_closure({v}, max_s_den) for v in (ZERO, ONE, INFINITY)}
     for s in test_slopes:
-        cls = slope_parity_class(s)
+        v = parity_vertex(s)
         for other, orbit in orbits.items():
-            f.expect((s in orbit) == (other is cls),
-                     f"parity orbit of {s} vs {other.value}")
-    for r_int, r_cls in ((ZERO, ParityClass.ZERO), (ONE, ParityClass.ONE),
-                         (Slope(2), ParityClass.ZERO), (Slope(-1), ParityClass.ONE)):
+            f.expect((s in orbit) == (other == v), f"parity orbit of {s} vs {other}")
+    for r_int, r_vertex in ((ZERO, ZERO), (ONE, ONE), (Slope(2), ZERO), (Slope(-1), ONE)):
         for s in test_slopes:
-            expected = slope_parity_class(s) in (r_cls, ParityClass.INFINITY)
+            expected = parity_vertex(s) in (r_vertex, INFINITY)
             f.expect(is_null_homotopic(s, r_int).answer == expected,
                      f"integer decision at s={s} r={r_int}")
     f.expect(relator(ZERO) == "ab", "relator of 0")

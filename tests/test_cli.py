@@ -1,6 +1,10 @@
 import hashlib
 import json
 
+import pytest
+
+from twobridge import cli
+
 from twobridge.cli import main
 from twobridge.reflections import Reflection
 from twobridge.slopes import Slope
@@ -140,7 +144,7 @@ def test_large_in_bound_slopes_are_answered(capsys):
     code, out, _ = run_cli(capsys, "null", str(2**63 - 1), "1/3")
     assert code == 0 and "null-homotopic = false" in out
     # Only r is folded, never s, so s stays in bound however far r is
-    # from [0, 1]; an integer r decides by the parity class of s.
+    # from [0, 1]; an integer r decides by the parity vertex of s.
     code, out, err = run_cli(capsys, "null", "1/3", str(2**62 + 1))
     assert code == 0 and err == ""
     assert out.splitlines() == ["null-homotopic = true", "representative = 1/1",
@@ -217,3 +221,32 @@ def test_json_trace_builds_no_text(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "--json", verb, "--trace", "1/3001", "1/3")
         assert code == 0 and err == ""
         assert len(json.loads(out)["trace"]["steps"]) == 1000
+
+
+#: sha256 of the JSON list of [argv, exit code, stdout, stderr] of seq on
+#: SEQ_SLOPES with and without --json, computed before the continued
+#: fraction became a plain tuple and seq built its cyclic S-sequence from
+#: the S-sequence it prints.  Slopes >= 1 run the T-sequence branch
+#: without the splitting.
+SEQ_SLOPES = ("1", "1/2", "10/37", "3/2", "5/3", "7/3")
+SEQ_OUTPUT_DIGEST = "a682dcd20b9a7321806d586f47ab74943f6cdc2d1f7acd17cc90f62311545c74"
+
+
+def test_seq_output_unchanged(capsys):
+    rows = []
+    for r in SEQ_SLOPES:
+        for pre in ([], ["--json"]):
+            argv = pre + ["seq", r]
+            rows.append([argv, *run_cli(capsys, *argv)])
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SEQ_OUTPUT_DIGEST
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_exit_3(capsys, monkeypatch, error):
+    def exhausted(r):
+        raise error()
+
+    monkeypatch.setattr(cli, "relator", exhausted)
+    code, out, err = run_cli(capsys, "word", "1/3")
+    # One line, named after the error, since it carries no message; no traceback.
+    assert (code, out, err) == (3, "", f"internal error: {error.__name__}\n")

@@ -8,8 +8,6 @@ from twobridge.slopes import (
     INFINITY,
     ONE,
     ZERO,
-    ContinuedFraction,
-    ParityClass,
     Slope,
     cf_expand,
     cf_value,
@@ -18,8 +16,8 @@ from twobridge.slopes import (
     in_fundamental_intervals,
     mediant,
     parse_slope,
+    parity_vertex,
     schubert_equivalent,
-    slope_parity_class,
 )
 from twobridge.verification import triangle_orbit_closure
 
@@ -44,6 +42,9 @@ def test_slope_ordering():
     assert Slope(-1, 2) < ZERO
     assert not (INFINITY < INFINITY)
     assert sorted([INFINITY, ONE, ZERO]) == [ZERO, ONE, INFINITY]
+    assert ONE != 1  # slopes compare only with slopes
+    with pytest.raises(TypeError):
+        Slope(1, 2) < 1
 
 
 def test_slope_arithmetic():
@@ -79,11 +80,11 @@ def test_parse_round_trip(num, den):
 
 
 def test_cf_expand_examples():
-    assert cf_expand(Slope(5, 17)).terms == (3, 2, 2)
-    assert cf_expand(Slope(10, 37)).terms == (3, 1, 2, 3)
-    assert cf_expand(Slope(1, 2)).terms == (2,)
-    assert cf_expand(ONE).terms == (1,)
-    assert cf_expand(Slope(10, 7)).terms == (0, 1, 2, 3)
+    assert cf_expand(Slope(5, 17)) == (3, 2, 2)
+    assert cf_expand(Slope(10, 37)) == (3, 1, 2, 3)
+    assert cf_expand(Slope(1, 2)) == (2,)
+    assert cf_expand(ONE) == (1,)
+    assert cf_expand(Slope(10, 7)) == (0, 1, 2, 3)
     with pytest.raises(ValueError):
         cf_expand(ZERO)
     with pytest.raises(ValueError):
@@ -102,25 +103,13 @@ def test_cf_value_examples():
         cf_value((3, -2, 2))
 
 
-def test_continued_fraction_type_invariants():
-    with pytest.raises(ValueError):
-        ContinuedFraction((3, 2, 1))  # trailing 1 with k > 1
-    with pytest.raises(ValueError):
-        ContinuedFraction((0, 1))  # denotes 1, not canonical
-    with pytest.raises(ValueError):
-        ContinuedFraction(())
-    assert ContinuedFraction((0, 2)).value() == Slope(2)
-    assert str(ContinuedFraction((3, 1, 2, 3))) == "[3,1,2,3]"
-
-
 def test_cf_round_trip_exhaustive():
     for p in range(1, 501):
         for q in range(1, p + 1):
             if math.gcd(q, p) == 1:
                 r = Slope(q, p)
-                cf = cf_expand(r)
-                assert cf.value() == r
-                terms = cf.terms
+                terms = cf_expand(r)
+                assert cf_value(terms) == r
                 assert all(m >= 1 for m in terms)
                 assert len(terms) == 1 or terms[-1] >= 2
 
@@ -133,16 +122,16 @@ def test_cf_reciprocal_identities_exhaustive():
         for q in range(1, p):
             if math.gcd(q, p) != 1:
                 continue
-            terms = cf_expand(Slope(q, p)).terms
+            terms = cf_expand(Slope(q, p))
             if len(terms) < 2:
                 continue
             c = p - terms[0] * q
-            assert cf_expand(Slope(q, c)).terms == (0,) + terms[1:]
-            assert cf_expand(Slope(c, q)).terms == terms[1:]
+            assert cf_expand(Slope(q, c)) == (0,) + terms[1:]
+            assert cf_expand(Slope(c, q)) == terms[1:]
             if terms[1] >= 2:
-                assert cf_expand(Slope(c, q - c)).terms == (terms[1] - 1,) + terms[2:]
+                assert cf_expand(Slope(c, q - c)) == (terms[1] - 1,) + terms[2:]
             else:
-                assert cf_expand(Slope(q - c, c)).terms == terms[2:]
+                assert cf_expand(Slope(q - c, c)) == terms[2:]
 
 
 def test_schubert_examples():
@@ -199,10 +188,10 @@ def test_in_fundamental_intervals():
 
 
 def test_parity_examples():
-    assert slope_parity_class(Slope(2, 5)) is ParityClass.ZERO
-    assert slope_parity_class(ONE) is ParityClass.ONE
-    assert slope_parity_class(INFINITY) is ParityClass.INFINITY
-    assert slope_parity_class(Slope(-3, 5)) is ParityClass.ONE
+    assert parity_vertex(Slope(2, 5)) == ZERO
+    assert parity_vertex(ONE) == ONE
+    assert parity_vertex(INFINITY) == INFINITY
+    assert parity_vertex(Slope(-3, 5)) == ONE
 
 
 def test_farey_interval_matches_sorted_fractions():
@@ -218,15 +207,11 @@ def test_farey_interval_matches_sorted_fractions():
 
 def test_parity_matches_triangle_orbits():
     bound = 12
-    orbits = {
-        ParityClass.ZERO: triangle_orbit_closure({ZERO}, bound),
-        ParityClass.ONE: triangle_orbit_closure({ONE}, bound),
-        ParityClass.INFINITY: triangle_orbit_closure({INFINITY}, bound),
-    }
+    orbits = {v: triangle_orbit_closure({v}, bound) for v in (ZERO, ONE, INFINITY)}
     for s in farey_interval(bound) + [INFINITY, Slope(-2, 5), Slope(7, 3)]:
-        cls = slope_parity_class(s)
+        v = parity_vertex(s)
         for other, orbit in orbits.items():
-            assert (s in orbit) == (other is cls)
+            assert (s in orbit) == (other == v)
 
 
 @given(st.integers(-10**4, 10**4), st.integers(1, 10**4),
