@@ -241,8 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (OverflowError, CapExceededError, MemoryError, RecursionError) as exc:
-        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_INTERNAL
+        kind, exc_args = type(exc), exc.args  # allocates nothing while the frames live
+    print(f"internal error: {exc_args[0] if exc_args else kind.__name__}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .pieces import (
     symmetrize,
     t4_by_triples,
 )
-from .reflections import Reflection, reduce_to_fundamental, reflection_in_edge
+from .reflections import Reflection, Step, reduce_to_fundamental, reflection_in_edge
 from .seqs import (
     CyclicSequence,
     Seq,
@@ -165,8 +165,12 @@ def t_sequence_by_runs(r: Slope) -> Seq:
 
 
 def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
-             cap: int) -> set[tuple[int, int]]:
-    """BFS closure over (num, den) pairs, pruning beyond max(|num|, den) <= cap."""
+             max_den: int, expansion: int) -> set[Slope]:
+    """BFS closure over (num, den) pairs, pruning beyond max(|num|, den) <=
+    expansion * max_den; returns the slopes of denominator <= max_den."""
+    if max_den < 1:
+        raise ValueError("max_den must be >= 1")
+    cap = expansion * max_den
     gens = [g.entries() for g in generators]
     seen: set[tuple[int, int]] = set()
     queue: deque[tuple[int, int]] = deque()
@@ -191,15 +195,13 @@ def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
             if t not in seen:
                 seen.add(t)
                 queue.append(t)
-    return seen
+    return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
 
 
 def orbit_closure(r: Slope, seeds: Iterable[Slope], max_den: int) -> set[Slope]:
     """All slopes of denominator <= max_den reachable from the seeds under
     the four reflections in the edges (∞,0), (∞,1), (r,r1), (r,r2), with
     exploration pruned at ORBIT_EXPANSION * max_den."""
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
     r1, r2 = fundamental_endpoints(r)
     gens = [
         reflection_in_edge(INFINITY, ZERO),
@@ -207,8 +209,7 @@ def orbit_closure(r: Slope, seeds: Iterable[Slope], max_den: int) -> set[Slope]:
         reflection_in_edge(r, r1),
         reflection_in_edge(r, r2),
     ]
-    seen = _closure(gens, seeds, ORBIT_EXPANSION * max_den)
-    return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
+    return _closure(gens, seeds, max_den, ORBIT_EXPANSION)
 
 
 def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int) -> set[Slope]:
@@ -218,15 +219,12 @@ def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int) -> set[Slope]:
 
     This is the oracle for the parity vertex of a slope.
     """
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
     gens = [
         reflection_in_edge(INFINITY, ZERO),
         reflection_in_edge(INFINITY, ONE),
         reflection_in_edge(ZERO, ONE),
     ]
-    seen = _closure(gens, seeds, TRIANGLE_EXPANSION * max_den)
-    return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
+    return _closure(gens, seeds, max_den, TRIANGLE_EXPANSION)
 
 
 def _lcp(a: str, b: str) -> int:
@@ -327,9 +325,6 @@ class _Failures:
     def __init__(self):
         self.items = 0
         self.failures: list[str] = []
-
-    def count(self, n: int = 1) -> None:
-        self.items += n
 
     def expect(self, ok: bool, message: str) -> bool:
         self.items += 1
@@ -479,7 +474,7 @@ def _check_sequence_theorems_for(f: _Failures, r: Slope) -> None:
         n = 2 * q
         f.expect(all(s_rev[i] + s_qc[(q - i - 1) % n] == 1 for i in range(n)),
                  f"0-1 exchange at {r}")
-    f.count()
+    f.items += 1
 
 
 def check_sequence_theorems(max_p: int = 200) -> CheckResult:
@@ -539,6 +534,21 @@ def check_small_cancellation(max_p: int = 50) -> CheckResult:
     return f.result("small-cancellation")
 
 
+def _replays(s: Slope, r: Slope, steps: Iterable[Step], result: Slope) -> bool:
+    """Whether the steps carry s to result, replayed with plain integer
+    products (unimodular, so cross-multiplying compares slopes exactly),
+    every step fixing ∞ or r as the generators of Γ̂_r do."""
+    x, y = s.num, s.den
+    for refl, image in steps:
+        a, b, c, d = refl.entries()
+        x, y = a * x + b * y, c * x + d * y
+        if c and (a * r.num + b * r.den) * r.den != (c * r.num + d * r.den) * r.num:
+            return False
+        if image.num * y != image.den * x:
+            return False
+    return result.num * y == result.den * x
+
+
 def check_decision_oracle(max_r_den: int = 20, max_s_den: int = 40) -> CheckResult:
     """The exact decision agrees with breadth-first orbit closure; the
     fundamental representative is idempotent and certified by its trace;
@@ -555,15 +565,9 @@ def check_decision_oracle(max_r_den: int = 20, max_s_den: int = 40) -> CheckResu
             f.expect(ok, f"representative range at s={s} r={r}")
             f.expect(reduce_to_fundamental(rep, r).result == rep,
                      f"idempotence at s={s} r={r}")
-            trace = verdict.trace
-            img = s
-            for refl, image in trace.steps:
-                img = refl.apply(img)
-                if img != image:
-                    break
-            f.expect(img == trace.result == rep, f"trace certificate s={s} r={r}")
-        expected_scan = sorted(
-            s for s in orbit if s.is_infinite or ZERO <= s <= ONE)
+            f.expect(verdict.trace.result == rep and _replays(s, r, verdict.trace.steps, rep),
+                     f"trace certificate s={s} r={r}")
+        expected_scan = sorted(s for s in orbit if s.is_infinite or ZERO <= s <= ONE)
         f.expect(scan(r, max_s_den) == expected_scan, f"scan vs closure at {r}")
         f.expect(has_umpp_epimorphism(r, r), f"epimorphism reflexivity at {r}")
     # Translation and negation invariance on a thinner sweep.
@@ -580,8 +584,7 @@ def check_decision_oracle(max_r_den: int = 20, max_s_den: int = 40) -> CheckResu
     return f.result("decision-oracle")
 
 
-def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60,
-                                 single_term_literal: bool = False) -> CheckResult:
+def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60) -> CheckResult:
     """Equivalences among the three gap tests, for r with p <= max_r_den
     and s in (0,1] with denominator <= max_s_den.
 
@@ -595,16 +598,13 @@ def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60,
     group of 1/2 is free abelian, so the loop of slope 1/4 bounds, yet
     ((4,4)) has no factor (2).  The exact characterization there is
     "inside the gap with leading partial quotient at most m", which is
-    what this suite checks; passing single_term_literal=True instead
-    asserts the uncorrected chain for single-term r as well, and is
-    expected to fail.
+    what this suite checks.
     """
     f = _Failures()
     s_pool = [(s, cf_expand(s)[0]) for s in _unit_fractions(max_s_den)]
     for r in _proper_fractions(max_r_den):
         r1, r2 = fundamental_endpoints(r)
         terms = cf_expand(r)
-        single_term = len(terms) == 1
         for s, s_lead in s_pool:
             snc = satisfies_necessary_condition(s, r)
             conn = connection_criterion(s, r)
@@ -613,15 +613,14 @@ def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60,
             null = is_null_homotopic(s, r).answer
             if null:
                 f.expect(gap, f"null-homotopic outside gap at s={s} r={r}")
-            if not single_term or single_term_literal:
+            if len(terms) > 1:
                 f.expect(snc == conn, f"factor condition vs criterion at s={s} r={r}")
                 if null:
                     f.expect(snc, f"necessary-condition soundness at s={s} r={r}")
             else:
                 f.expect(snc == (gap and s_lead <= terms[0]),
                          f"single-term factor characterization at s={s} r={r}")
-    return f.result("criterion-equivalences"
-                    + ("-literal" if single_term_literal else ""))
+    return f.result("criterion-equivalences")
 
 
 def check_special_slopes(max_s_den: int = 40) -> CheckResult:

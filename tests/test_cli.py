@@ -1,5 +1,8 @@
 import hashlib
+import io
 import json
+import sys
+import weakref
 
 import pytest
 
@@ -250,3 +253,29 @@ def test_resource_errors_exit_3(capsys, monkeypatch, error):
     code, out, err = run_cli(capsys, "word", "1/3")
     # One line, named after the error, since it carries no message; no traceback.
     assert (code, out, err) == (3, "", f"internal error: {error.__name__}\n")
+
+
+def test_internal_error_line_written_after_the_failed_call_is_freed(monkeypatch):
+    # The frames of a call that ran out of memory hold what it allocated
+    # until the handler ends; writing the error line before then can run
+    # out of memory again.  Here stderr fails while the scan's frame lives.
+    class Held:
+        pass
+
+    held = []
+
+    def exhausted(r, max_den, mode):
+        partial = Held()
+        held.append(weakref.ref(partial))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            if held[0]() is not None:
+                raise MemoryError
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "scan", exhausted)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["scan", "1/2", "--max-den", "5"]) == 3
+    assert sys.stderr.getvalue() == "internal error: MemoryError\n"

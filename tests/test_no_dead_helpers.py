@@ -1,9 +1,12 @@
-"""No public helper without a caller.
+"""No public helper without a caller, and no option without a setter.
 
 Every public module-level function or class of ``twobridge`` must be
 referenced, by name or as an attribute, somewhere in the library or in the
-benchmark outside its own definition.  The re-exports in ``__init__`` and
-the unit tests do not count: a helper that only its own tests call is dead.
+benchmark outside its own definition.  Every defaulted parameter of a
+public module-level function must be set by some call there, positionally,
+by keyword or through ``*``/``**``.  The re-exports in ``__init__`` and
+the unit tests do not count: a helper or an option that only its own
+tests use is dead.
 """
 
 import ast
@@ -14,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "twobridge").glob("*.py"))
 CALLERS = [path for path in LIBRARY if path.name != "__init__.py"]
 CALLERS += sorted((ROOT / "bench").glob("*.py"))
+TREES = {path: ast.parse(path.read_text(), str(path)) for path in {*LIBRARY, *CALLERS}}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -28,17 +32,54 @@ def references(node: ast.AST) -> Counter:
     return names
 
 
-def dead_helpers() -> list[str]:
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in {*LIBRARY, *CALLERS}}
-    everywhere = sum((references(trees[path]) for path in CALLERS), Counter())
-    dead = []
+def public_definitions(kinds=DEFINITIONS):
     for path in LIBRARY:
-        for node in trees[path].body:
-            if (isinstance(node, DEFINITIONS) and not node.name.startswith("_")
-                    and everywhere[node.name] <= references(node)[node.name]):
-                dead.append(f"{path.stem}.{node.name}")
-    return dead
+        for node in TREES[path].body:
+            if isinstance(node, kinds) and not node.name.startswith("_"):
+                yield path.stem, node
+
+
+def dead_helpers() -> list[str]:
+    everywhere = sum((references(TREES[path]) for path in CALLERS), Counter())
+    return [f"{module}.{node.name}" for module, node in public_definitions()
+            if everywhere[node.name] <= references(node)[node.name]]
+
+
+def defaulted(node: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    """(position, or None when keyword-only; name) of each defaulted parameter."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    return ([(i, arg.arg) for i, arg in enumerate(positional) if i >= first]
+            + [(None, arg.arg) for arg, default
+               in zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None])
+
+
+def sets(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether the call may pass the parameter: unpacked arguments may set any."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    return index is not None and index < len(call.args)
+
+
+def unset_options() -> list[str]:
+    by_name: dict[str, list[ast.Call]] = {}
+    for path in CALLERS:
+        for call in ast.walk(TREES[path]):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                by_name.setdefault(name, []).append(call)
+    return [f"{module}.{node.name}({name})"
+            for module, node in public_definitions((ast.FunctionDef, ast.AsyncFunctionDef))
+            for index, name in defaulted(node)
+            if not any(sets(call, index, name) for call in by_name.get(node.name, []))]
 
 
 def test_every_public_helper_has_a_caller():
     assert dead_helpers() == []
+
+
+def test_every_option_has_a_setter():
+    assert unset_options() == []

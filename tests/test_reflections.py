@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twobridge.slopes import INFINITY, ONE, ZERO, Slope, farey_interval, fundamental_endpoints
-from twobridge import reflections
+from twobridge import reflections, verification
 from twobridge.decide import ScanMode, scan
 from twobridge.reflections import (
     MAX_FOLD_ROUNDS,
@@ -265,6 +266,28 @@ def test_orbit_closure_examples():
     half_orbit = orbit_closure(Slope(1, 3), {Slope(1, 2)}, 40)
     main_orbit = orbit_closure(Slope(1, 3), {INFINITY, Slope(1, 3)}, 40)
     assert not (half_orbit & main_orbit)
+    with pytest.raises(ValueError):
+        orbit_closure(Slope(1, 3), {INFINITY}, 0)
+    with pytest.raises(ValueError):
+        triangle_orbit_closure({ZERO}, 0)
+
+
+def test_decision_oracle_rejects_steps_outside_the_group(monkeypatch):
+    # The reflection in the edge (0, 1) fixes neither ∞ nor any r in
+    # (0, 1), so it is no step of the group; the detour (g, g·s), (g, s)
+    # still lands back on s, so only a membership check can catch it.
+    g = reflection_in_edge(ZERO, ONE)
+    decide = verification.is_null_homotopic
+
+    def detoured(s, r):
+        verdict = decide(s, r)
+        steps = ((g, g.apply(s)), (g, s)) + verdict.trace.steps
+        return verdict._replace(trace=dataclasses.replace(verdict.trace, steps=steps))
+
+    assert verification.check_decision_oracle(3, 5).passed
+    monkeypatch.setattr(verification, "is_null_homotopic", detoured)
+    result = verification.check_decision_oracle(3, 5)
+    assert not result.passed and "trace certificate" in result.detail
 
 
 def test_orbit_closure_complete_at_every_bound():
