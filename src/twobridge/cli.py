@@ -143,8 +143,7 @@ def _cmd_epi(args) -> int:
 
 def _cmd_scan(args) -> int:
     r = parse_slope(args.r)
-    mode = ScanMode.NULLHOMOTOPY if args.mode == "null" else ScanMode.EPIMORPHISM
-    hits = scan(r, args.max_den, mode)
+    hits = scan(r, args.max_den, ScanMode(args.mode))
     lines = [" ".join(str(s) for s in hits)]
     _emit(args, lines, {"r": str(r), "mode": args.mode, "max_den": args.max_den,
                         "slopes": [str(s) for s in hits]})
@@ -215,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "satisfying a predicate")
     p.add_argument("r")
     p.add_argument("--max-den", type=int, required=True)
-    p.add_argument("--mode", choices=["null", "epi"], default="null")
+    p.add_argument("--mode", choices=[mode.value for mode in ScanMode],
+                   default=ScanMode.NULLHOMOTOPY.value)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("equiv", help="do two slopes present the same link?")
@@ -244,7 +244,3 @@ def main(argv: list[str] | None = None) -> int:
         kind, exc_args = type(exc), exc.args  # allocates nothing while the frames live
     print(f"internal error: {exc_args[0] if exc_args else kind.__name__}", file=sys.stderr)
     return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

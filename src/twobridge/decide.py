@@ -13,11 +13,7 @@ from __future__ import annotations
 
 import enum
 
-from .reflections import (  # Route and Verdict are re-exported: verdicts carry them
-    Route,
-    Verdict,
-    classify_orbit,
-)
+from .reflections import Verdict, classify_orbit
 from .slopes import INFINITY, ZERO, Slope, cf_expand, farey_interval
 
 

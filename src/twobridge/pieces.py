@@ -8,8 +8,8 @@ optimal and keeps all of the checks here elementary.
 
 Piece lengths have one source: the closed-form catalog of maximal
 n-piece subwords, phrased through the v1 v2 v3 v4 splitting of the
-relator.  The brute-force piece scan it is checked against lives in
-``verification``.
+relator.  Nothing here builds R: the symmetrized set and the brute-force
+piece scan the catalog is checked against live in ``verification``.
 """
 
 from __future__ import annotations
@@ -29,25 +29,6 @@ from .words import (
 #: A positioned subword of a cyclic word: (start index, length), indices
 #: taken in the canonical rotation.
 Span = tuple[int, int]
-
-
-def symmetrize(r: Slope) -> tuple[str, ...]:
-    """All rotations of the relator of a slope in (0,1) and of its inverse,
-    sorted: the symmetrized set, whose 4p elements are pairwise distinct
-    words of length 2p.  Used by the oracles and the paper-property checks;
-    the report reads its piece lengths from the closed-form catalog."""
-    if not (ZERO < r < ONE):
-        raise ValueError(f"symmetrized set needs 0 < r < 1, got {r}")
-    u = relator(r)
-    n = len(u)
-    elements: set[str] = set()
-    for base in (u, inverse_word(u)):
-        dd = base + base
-        for i in range(n):
-            elements.add(dd[i:i + n])
-    if len(elements) != 2 * n:
-        raise AssertionError(f"symmetrized set of {r} is degenerate")
-    return tuple(sorted(elements))
 
 
 def min_piece_factorization(table: Sequence[int]) -> int:

@@ -45,31 +45,6 @@ def s_sequence_of_word(v: str) -> Seq:
     return tuple(map(len, _RUNS.findall(v)))
 
 
-def _rank_codes(terms: Sequence[int]) -> dict[int, str]:
-    # Terms of any size coded as characters of their rank, so the factor
-    # searches run on C string primitives.
-    return {v: chr(i) for i, v in enumerate(sorted(set(terms)))}
-
-
-def _encode(seq: Sequence[int], codes: dict[int, str]) -> str:
-    return "".join(map(codes.__getitem__, seq))
-
-
-def _coded_search(haystack: Sequence[int], needle: Seq) -> tuple[str, str] | None:
-    """The coded haystack, wrapped by len(needle) - 1 terms, and the coded
-    needle; None when a needle term is absent from the haystack."""
-    codes = _rank_codes(haystack)
-    if not codes.keys() >= set(needle):
-        return None
-    hay = _encode(haystack, codes)
-    return hay + hay[:len(needle) - 1], _encode(needle, codes)
-
-
-def _canonical_rotation(terms: Seq) -> Seq:
-    i = _least_rotation_start(terms)
-    return terms[i:] + terms[:i]
-
-
 @dataclass(frozen=True)
 class CyclicSequence:
     """An integer sequence up to rotation, stored as its least rotation."""
@@ -77,7 +52,9 @@ class CyclicSequence:
     terms: Seq
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _canonical_rotation(tuple(self.terms)))
+        terms = tuple(self.terms)
+        i = _least_rotation_start(terms)
+        object.__setattr__(self, "terms", terms[i:] + terms[:i])
 
     def __str__(self) -> str:
         return "((" + ",".join(str(t) for t in self.terms) + "))"
@@ -188,10 +165,14 @@ def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
         raise ValueError("needle must be non-empty")
     if len(needle) > len(haystack):
         return 0
-    coded = _coded_search(haystack, needle)
-    if coded is None:
+    # Terms of any size coded as characters of their rank, so the search
+    # runs on C string primitives.
+    codes = {v: chr(i) for i, v in enumerate(sorted(set(haystack)))}
+    if not codes.keys() >= set(needle):
         return 0
-    dd, pat = coded
+    hay = "".join(map(codes.__getitem__, haystack))
+    dd = hay + hay[:len(needle) - 1]  # a match may wrap around the end
+    pat = "".join(map(codes.__getitem__, needle))
     count = 0
     pos = dd.find(pat)
     while pos != -1:

@@ -8,8 +8,8 @@ raising, so the CLI can print one pass/fail line per suite.
 The independent oracles live here and nowhere on the library's hot path:
 the floor-formula and line-walk relator words, the ceiling and strip
 counts of the S-sequence, the run count of the T-sequence, breadth-first
-orbit closures, the brute-force piece scan over the symmetrized set
-(longest piece prefixes, the piece length table and the n-piece
+orbit closures, the symmetrized set and the brute-force piece scan over
+it (longest piece prefixes, the piece length table and the n-piece
 enumeration), the initial-letter spread, and the calls to the cubic T(4)
 triple check.
 """
@@ -30,7 +30,6 @@ from .pieces import (
     piece_product_catalog,
     satisfies_necessary_condition,
     small_cancellation_report,
-    symmetrize,
     t4_by_triples,
 )
 from .reflections import Reflection, Step, reduce_to_fundamental, reflection_in_edge
@@ -225,6 +224,26 @@ def triangle_orbit_closure(seeds: Iterable[Slope], max_den: int) -> set[Slope]:
         reflection_in_edge(ZERO, ONE),
     ]
     return _closure(gens, seeds, max_den, TRIANGLE_EXPANSION)
+
+
+def symmetrize(r: Slope) -> tuple[str, ...]:
+    """All rotations of the relator of a slope in (0,1) and of its inverse,
+    sorted: the symmetrized set, whose 4p elements are pairwise distinct
+    words of length 2p.  The brute-force piece scan runs over it; the
+    report in ``pieces`` reads its piece lengths from the closed-form
+    catalog instead."""
+    if not (ZERO < r < ONE):
+        raise ValueError(f"symmetrized set needs 0 < r < 1, got {r}")
+    u = relator(r)
+    n = len(u)
+    elements: set[str] = set()
+    for base in (u, inverse_word(u)):
+        dd = base + base
+        for i in range(n):
+            elements.add(dd[i:i + n])
+    if len(elements) != 2 * n:
+        raise AssertionError(f"symmetrized set of {r} is degenerate")
+    return tuple(sorted(elements))
 
 
 def _lcp(a: str, b: str) -> int:

@@ -4,7 +4,6 @@ import pytest
 
 from twobridge.slopes import INFINITY, ONE, ZERO, Slope, cf_value, farey_interval
 from twobridge.decide import (
-    Route,
     ScanMode,
     connection_criterion,
     has_umpp_epimorphism,
@@ -12,7 +11,7 @@ from twobridge.decide import (
     scan,
 )
 from twobridge.pieces import satisfies_necessary_condition
-from twobridge.reflections import Reflection, reduce_to_fundamental
+from twobridge.reflections import Reflection, Route, reduce_to_fundamental
 
 
 def test_null_homotopy_examples():

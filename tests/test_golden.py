@@ -13,18 +13,10 @@ import hashlib
 import json
 import math
 
-from twobridge import (
-    INFINITY,
-    Slope,
-    cf_expand,
-    cyclic_s_sequence,
-    decompose,
-    fundamental_endpoints,
-    is_null_homotopic,
-    s_sequence,
-    small_cancellation_report,
-    t_sequence,
-)
+from twobridge.decide import is_null_homotopic
+from twobridge.pieces import small_cancellation_report
+from twobridge.seqs import cyclic_s_sequence, decompose, s_sequence, t_sequence
+from twobridge.slopes import INFINITY, Slope, cf_expand, fundamental_endpoints
 
 DECISION_PIVOTS = (Slope(1, 2), Slope(2, 7), Slope(5, 13), Slope(8, 21),
                    Slope(3), Slope(-4), INFINITY)

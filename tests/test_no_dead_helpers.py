@@ -1,23 +1,29 @@
-"""No public helper without a caller, and no option without a setter.
+"""No public helper without a caller, no option without a setter, and
+one home per name.
 
 Every public module-level function or class of ``twobridge`` must be
 referenced, by name or as an attribute, somewhere in the library or in the
 benchmark outside its own definition.  Every defaulted parameter of a
 public module-level function must be set by some call there, positionally,
-by keyword or through ``*``/``**``.  The re-exports in ``__init__`` and
-the unit tests do not count: a helper or an option that only its own
-tests use is dead.
+by keyword or through ``*``/``**``.  The unit tests do not count: a helper
+or an option that only its own tests use is dead.
+
+Each name is bound in the library module that defines it and in the
+modules that use it, nowhere else: a module that imports a name from
+another ``twobridge`` module must use it outside the import.  Importing
+one module then loads only the modules it needs.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((ROOT / "src" / "twobridge").glob("*.py"))
-CALLERS = [path for path in LIBRARY if path.name != "__init__.py"]
-CALLERS += sorted((ROOT / "bench").glob("*.py"))
-TREES = {path: ast.parse(path.read_text(), str(path)) for path in {*LIBRARY, *CALLERS}}
+CALLERS = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
+TREES = {path: ast.parse(path.read_text(), str(path)) for path in CALLERS}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -83,3 +89,39 @@ def test_every_public_helper_has_a_caller():
 
 def test_every_option_has_a_setter():
     assert unset_options() == []
+
+
+def only_re_exported() -> list[str]:
+    """Names a library module imports from a ``twobridge`` module and never uses."""
+    unused = []
+    for path in LIBRARY:
+        tree = TREES[path]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "twobridge"):
+                names = (alias.asname or alias.name for alias in node.names)
+                unused += [f"{path.stem}.{name}" for name in names if name not in used]
+    return unused
+
+
+def loaded_modules(module: str) -> list[str]:
+    """The ``twobridge`` modules a fresh interpreter holds after importing one."""
+    code = (f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+            "print(*sorted(n for n in sys.modules if n.split('.')[0] == 'twobridge'))")
+    return subprocess.run([sys.executable, "-I", "-c", code, str(ROOT / "src")],
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+def test_no_name_is_only_re_exported():
+    assert only_re_exported() == []
+
+
+def test_importing_a_module_loads_only_what_it_needs():
+    assert loaded_modules("twobridge.slopes") == ["twobridge", "twobridge.slopes"]
+    # The command line loads every layer, which the benchmark reads from
+    # sys.modules after importing it.
+    assert loaded_modules("twobridge.cli") == [
+        "twobridge", "twobridge.cli", "twobridge.decide", "twobridge.pieces",
+        "twobridge.reflections", "twobridge.seqs", "twobridge.slopes",
+        "twobridge.verification", "twobridge.words"]

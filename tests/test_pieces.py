@@ -11,7 +11,6 @@ from twobridge.pieces import (
     piece_product_catalog,
     satisfies_necessary_condition,
     small_cancellation_report,
-    symmetrize,
     t4_by_triples,
     t4_structural,
 )
@@ -22,6 +21,7 @@ from twobridge.verification import (
     longest_piece_prefix,
     maximal_piece_products,
     piece_length_table,
+    symmetrize,
 )
 from twobridge.words import cyclic_reduce, half_relator, inverse_word, relator
 
@@ -101,7 +101,8 @@ def test_report_builds_no_symmetrized_set(monkeypatch):
     def refuse(r):
         raise AssertionError(f"symmetrized set of {r} built by the report")
 
-    monkeypatch.setattr(pieces, "symmetrize", refuse)
+    assert "symmetrize" not in vars(pieces)
+    monkeypatch.setattr(verification, "symmetrize", refuse)
     for r, digest in REPORT_DIGESTS.items():
         obj = small_cancellation_report(r).to_json_obj()
         assert obj["c4"] and obj["t4"] and obj["min_cyclic_pieces"] == 4
@@ -195,7 +196,6 @@ def test_small_cancellation_suite_builds_one_symmetrized_set_per_r(monkeypatch):
         calls.append(r)
         return symmetrize(r)
 
-    monkeypatch.setattr(pieces, "symmetrize", counting)
     monkeypatch.setattr(verification, "symmetrize", counting)
     assert check_small_cancellation(max_p=12).passed
     slopes = [Slope(q, p) for p in range(2, 13) for q in range(1, p)
