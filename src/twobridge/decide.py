@@ -60,8 +60,6 @@ def scan(r: Slope, max_den: int, mode: ScanMode = ScanMode.NULLHOMOTOPY) -> list
     hits: the orbit is invariant under x ↦ -x and x ↦ x + 2, so s - 1 (or
     s + 1 at s = 0) is a hit exactly when the candidate 1 - s is, and ∞ is
     always a hit."""
-    if max_den < 1:
-        raise ValueError("max_den must be >= 1")
     candidates = farey_interval(max_den) + [INFINITY]
     hits = [s for s in candidates if classify_orbit(s, r).answer]
     if mode is ScanMode.NULLHOMOTOPY:

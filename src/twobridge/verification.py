@@ -57,10 +57,9 @@ from .slopes import (
     parity_vertex,
 )
 from .words import (
-    CyclicWord,
     apply_automorphism,
+    canonical_rotation,
     cyclic_equal,
-    cyclic_reduce,
     half_relator,
     inverse_word,
     is_cyclically_alternating,
@@ -274,10 +273,9 @@ def longest_piece_prefix(relators: tuple[str, ...], x: str) -> int:
     return lcps[-2] if len(lcps) > 1 else 0
 
 
-def piece_length_table(cw: CyclicWord, relators: tuple[str, ...]) -> list[int]:
-    """Longest piece at each start of the cyclic word, by brute force: the
-    oracle for the lengths of the closed-form 1-piece catalog."""
-    w = cw.letters
+def piece_length_table(w: str, relators: tuple[str, ...]) -> list[int]:
+    """Longest piece starting at each letter of the cyclic word w, by brute
+    force: the oracle for the lengths of the closed-form 1-piece catalog."""
     dd = w + w
     n = len(w)
     return [longest_piece_prefix(relators, dd[i:i + n]) for i in range(n)]
@@ -493,7 +491,7 @@ def _check_sequence_theorems_for(f: _Failures, r: Slope) -> None:
         n = 2 * q
         f.expect(all(s_rev[i] + s_qc[(q - i - 1) % n] == 1 for i in range(n)),
                  f"0-1 exchange at {r}")
-    f.items += 1
+    f.expect(sum(s) == 2 * p, f"term sum 2p at {r}")
 
 
 def check_sequence_theorems(max_p: int = 200) -> CheckResult:
@@ -520,11 +518,12 @@ def check_small_cancellation(max_p: int = 50) -> CheckResult:
         f.expect(report.t4 and (p > T4_TRIPLE_BOUND or t4_by_triples(relators)),
                  f"T(4) at {r}")
         u = relator(r)
-        cw = cyclic_reduce(u)
-        table = piece_length_table(cw, relators)
+        w = canonical_rotation(u)
+        table = piece_length_table(w, relators)
         f.expect(report.min_cyclic_pieces >= 4 and report.min_cyclic_pieces
                  == min_piece_factorization(table)
-                 == min_piece_factorization(piece_length_table(cw.inverse(), relators)),
+                 == min_piece_factorization(
+                     piece_length_table(canonical_rotation(inverse_word(u)), relators)),
                  f"min pieces at {r}")
         f.expect(initial_letter_spread(u, relators), f"initial letters at {r}")
         families = piece_product_catalog(r)
@@ -539,7 +538,7 @@ def check_small_cancellation(max_p: int = 50) -> CheckResult:
         if p <= CLOSURE_BOUND:
             # Subword closure: every subword of a maximal piece is a piece,
             # cross-validated against the exhaustive prefix scan.
-            dd = cw.letters * 2
+            dd = w * 2
             ok = True
             for i, length in enumerate(table):
                 if length and not is_piece(dd[i:i + length], relators):

@@ -4,11 +4,14 @@ A word is a plain string over the alphabet "aAbB", uppercase marking the
 inverse of a generator (so "abAB" is a b a⁻¹ b⁻¹).  The empty string is
 the identity and prints as "1".  Since the alphabet is exactly two
 generators, ``str.swapcase`` is formal inversion of a letter.
+
+No free reduction is needed: the relator words are cyclically
+alternating, hence cyclically reduced, and every other word formed from
+them (a rotation, the inverse, a letter-automorphism image) is too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .slopes import ONE, ZERO, Slope, _positive_pair
@@ -27,12 +30,6 @@ def is_reduced(w: str) -> bool:
     return not any(pair in w for pair in _REDUCIBLE_PAIRS)
 
 
-def is_cyclically_reduced(w: str) -> bool:
-    if not is_reduced(w):
-        return False
-    return len(w) < 2 or w[0] != w[-1].swapcase()
-
-
 def is_alternating(w: str) -> bool:
     """No a^{±2} or b^{±2}: the generators strictly alternate."""
     g = w.lower()
@@ -41,22 +38,6 @@ def is_alternating(w: str) -> bool:
 
 def is_cyclically_alternating(w: str) -> bool:
     return is_alternating(w) and (len(w) < 2 or w[0].lower() != w[-1].lower())
-
-
-def free_reduce(w: str) -> str:
-    """Delete adjacent inverse pairs until none remain.
-
-    >>> free_reduce("abBa")
-    'aa'
-    """
-    out: list[str] = []
-    push = out.append
-    for ch in w:
-        if out and out[-1] == ch.swapcase():
-            out.pop()
-        else:
-            push(ch)
-    return "".join(out)
 
 
 def _least_rotation_start(t: Sequence) -> int:
@@ -86,45 +67,6 @@ def canonical_rotation(w: str) -> str:
     """The rotation of w that is least in the order a < a⁻¹ < b < b⁻¹."""
     i = _least_rotation_start(w.translate(_ORDER))
     return w[i:] + w[:i]
-
-
-@dataclass(frozen=True)
-class CyclicWord:
-    """A cyclically reduced word up to rotation, stored canonically.
-
-    Two cyclic words are equal iff one representative is a rotation of
-    the other; the stored representative is the least rotation under the
-    letter order a < a⁻¹ < b < b⁻¹.
-    """
-
-    letters: str
-
-    def __post_init__(self):
-        w = self.letters
-        if not is_cyclically_reduced(w):
-            raise ValueError(f"not cyclically reduced: {w!r}")
-        object.__setattr__(self, "letters", canonical_rotation(w))
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return f"({self.letters or '1'})"
-
-    def inverse(self) -> "CyclicWord":
-        return CyclicWord(inverse_word(self.letters))
-
-
-def cyclic_reduce(w: str) -> CyclicWord:
-    """Freely reduce, then cancel wrap-around inverse pairs.
-
-    >>> str(cyclic_reduce("Babb"))
-    '(ab)'
-    """
-    v = free_reduce(w)
-    while len(v) >= 2 and v[0] == v[-1].swapcase():
-        v = v[1:-1]
-    return CyclicWord(v)
 
 
 def cyclic_equal(w1: str, w2: str, allow_inverse: bool = False) -> bool:
@@ -198,7 +140,8 @@ def apply_automorphism(w: str, image_of_a: str, image_of_b: str) -> str:
     Only the eight letter-to-letter automorphisms are allowed (images must
     be single letters on distinct generators); these are the symmetries of
     the upper tangle together with the half-twist.  Substitution is
-    letterwise, followed by free reduction.
+    letterwise: these maps send inverse pairs to inverse pairs, so w must
+    be reduced (as every word the library forms is) and its image is.
     """
     if (image_of_a, image_of_b) not in _AUTOMORPHISM_NAMES:
         raise ValueError(
@@ -210,7 +153,7 @@ def apply_automorphism(w: str, image_of_a: str, image_of_b: str) -> str:
         "b": image_of_b,
         "B": image_of_b.swapcase(),
     })
-    return free_reduce(w.translate(table))
+    return w.translate(table)
 
 
 def format_word(w: str) -> str:

@@ -116,6 +116,8 @@ def test_malformed_input_exits_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "word", "3/2")
     assert code == 2
+    code, out, err = run_cli(capsys, "scan", "1/3", "--max-den", "0")
+    assert code == 2 and out == "" and err == "error: max_den must be >= 1\n"
 
 
 def test_oversized_slope_exits_2(capsys):

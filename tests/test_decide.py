@@ -95,6 +95,8 @@ def test_scan_examples():
     assert scan(INFINITY, 10) == [INFINITY]
     assert Slope(1, 2) not in scan(Slope(1, 3), 2)
     assert hits == sorted(hits)
+    with pytest.raises(ValueError):
+        scan(Slope(1, 3), 0)
 
 
 def test_scan_modes_nest():

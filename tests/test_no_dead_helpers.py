@@ -1,5 +1,5 @@
-"""No public helper without a caller, no option without a setter, and
-one home per name.
+"""No public helper without a caller, no option without a setter, one
+home per name, and no check counted that nothing checks.
 
 Every public module-level function or class of ``twobridge`` must be
 referenced, by name or as an attribute, somewhere in the library or in the
@@ -12,6 +12,9 @@ Each name is bound in the library module that defines it and in the
 modules that use it, nowhere else: a module that imports a name from
 another ``twobridge`` module must use it outside the import.  Importing
 one module then loads only the modules it needs.
+
+The verification suites count an item only through ``_Failures.expect``,
+which pairs each count with a condition.
 """
 
 import ast
@@ -125,3 +128,28 @@ def test_importing_a_module_loads_only_what_it_needs():
         "twobridge", "twobridge.cli", "twobridge.decide", "twobridge.pieces",
         "twobridge.reflections", "twobridge.seqs", "twobridge.slopes",
         "twobridge.verification", "twobridge.words"]
+
+
+def counts_set_outside_expect() -> list[str]:
+    """Lines of ``verification`` outside ``_Failures`` that assign to or
+    augment an attribute named ``items``."""
+    path = ROOT / "src" / "twobridge" / "verification.py"
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, ast.ClassDef) and node.name == "_Failures":
+            return
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend(f"verification.py:{node.lineno}" for target in targets
+                         for sub in ast.walk(target)
+                         if isinstance(sub, ast.Attribute) and sub.attr == "items")
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(TREES[path])
+    return found
+
+
+def test_check_counts_come_only_from_expect():
+    assert counts_set_outside_expect() == []

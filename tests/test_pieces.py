@@ -23,7 +23,7 @@ from twobridge.verification import (
     piece_length_table,
     symmetrize,
 )
-from twobridge.words import cyclic_reduce, half_relator, inverse_word, relator
+from twobridge.words import canonical_rotation, half_relator, inverse_word, relator
 
 
 def test_symmetrize_sizes():
@@ -58,7 +58,7 @@ def test_ab_is_a_piece_of_4_7():
     u = relator(Slope(4, 7))
     assert u.startswith("ab") and (u[4:] + u[:4]).startswith("ab")
     assert is_piece("ab", relators)
-    assert min_piece_factorization(piece_length_table(cyclic_reduce("ab"), relators)) == 1
+    assert min_piece_factorization(piece_length_table(canonical_rotation("ab"), relators)) == 1
 
 
 def test_longest_piece_prefix_matches_exhaustive_scan():
@@ -78,9 +78,11 @@ def test_longest_piece_prefix_matches_exhaustive_scan():
 
 def test_min_piece_factorization_examples():
     relators = symmetrize(Slope(4, 7))
-    cw = cyclic_reduce(relator(Slope(4, 7)))
-    assert min_piece_factorization(piece_length_table(cw, relators)) == 4
-    assert min_piece_factorization(piece_length_table(cw.inverse(), relators)) == 4
+    u = relator(Slope(4, 7))
+    w = canonical_rotation(u)
+    assert min_piece_factorization(piece_length_table(w, relators)) == 4
+    w_inv = canonical_rotation(inverse_word(u))
+    assert min_piece_factorization(piece_length_table(w_inv, relators)) == 4
     assert min_piece_factorization([3, 0, 0, 2]) == 2
     with pytest.raises(ValueError):
         min_piece_factorization([])
@@ -110,7 +112,7 @@ def test_report_builds_no_symmetrized_set(monkeypatch):
 
 
 def brute_products(r, n_pieces):
-    table = piece_length_table(cyclic_reduce(relator(r)), symmetrize(r))
+    table = piece_length_table(canonical_rotation(relator(r)), symmetrize(r))
     return maximal_piece_products(table, n_pieces)
 
 

@@ -6,19 +6,14 @@ from hypothesis import given, strategies as st
 
 from twobridge.slopes import INFINITY, ONE, ZERO, Slope
 from twobridge.words import (
-    CyclicWord,
     apply_automorphism,
     canonical_rotation,
     cyclic_equal,
-    cyclic_reduce,
     format_word,
-    free_reduce,
     half_relator,
     inverse_word,
     is_alternating,
     is_cyclically_alternating,
-    is_cyclically_reduced,
-    is_reduced,
     relator,
 )
 from twobridge.words import _least_rotation_start
@@ -62,7 +57,6 @@ def test_relator_generators_agree():
         assert u == relator_by_line_walk(r), r
         assert len(u) == 2 * r.den
         assert is_cyclically_alternating(u)
-        assert is_cyclically_reduced(u)
 
 
 def test_relator_never_cyclically_equal_to_inverse():
@@ -74,29 +68,11 @@ def test_relator_never_cyclically_equal_to_inverse():
                 assert cyclic_equal(u, inverse_word(u), allow_inverse=True)
 
 
-def test_free_reduce():
-    assert free_reduce("abBa") == "aa"
-    assert free_reduce("aA") == ""
-    assert free_reduce("") == ""
-    assert free_reduce("abAB") == "abAB"
-
-
-def test_cyclic_reduce():
-    assert cyclic_reduce("Babb").letters == canonical_rotation("ab")
-    assert str(cyclic_reduce("Babb")) == "(ab)"
-    assert cyclic_reduce("aA") == CyclicWord("")
-    assert len(cyclic_reduce(relator(Slope(4, 7)))) == 14
-
-
-def test_cyclic_word_equality_and_order():
-    assert CyclicWord("ab") == CyclicWord("ba")
-    assert CyclicWord("BA").letters == "AB"  # a < A < b < B
-    assert CyclicWord("bA").letters == "Ab"
-    assert hash(CyclicWord("ab")) == hash(CyclicWord("ba"))
-    with pytest.raises(ValueError):
-        CyclicWord("aA")
-    with pytest.raises(ValueError):
-        CyclicWord("baB")  # wrap-around cancellation
+def test_canonical_rotation_examples():
+    assert canonical_rotation("ba") == canonical_rotation("ab") == "ab"
+    assert canonical_rotation("BA") == "AB"  # a < A < b < B
+    assert canonical_rotation("bA") == "Ab"
+    assert canonical_rotation("") == ""
 
 
 def test_cyclic_equal():
@@ -134,16 +110,8 @@ def test_word_text_format():
 
 
 @given(words)
-def test_free_reduce_is_reduced_and_idempotent(w):
-    v = free_reduce(w)
-    assert is_reduced(v)
-    assert free_reduce(v) == v
-
-
-@given(words)
 def test_inverse_word_involution(w):
     assert inverse_word(inverse_word(w)) == w
-    assert free_reduce(w + inverse_word(w)) == ""
 
 
 @given(words, st.integers(0, 39))
