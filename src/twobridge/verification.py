@@ -7,7 +7,7 @@ raising, so the CLI can print one pass/fail line per suite.
 
 The independent oracles live here and nowhere on the library's hot path:
 the floor-formula and line-walk relator words, the ceiling and strip
-counts of the S-sequence, the run count of the T-sequence, breadth-first
+counts of the S-sequence, the run count of the T-sequence, exhaustive
 orbit closures, the symmetrized set and the brute-force piece scan over
 it (longest piece prefixes, the piece length table and the n-piece
 enumeration), the initial-letter spread, and the calls to the cubic T(4)
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
@@ -67,10 +66,13 @@ from .words import (
 )
 
 
-#: Pruning factors of the breadth-first closures, which stop once
+#: Pruning factors of the orbit closures, which stop once
 #: max(|numerator|, denominator) exceeds factor * max_den: oracle
 #: completeness parameters, to be raised if the oracle ever disagrees with
-#: the exact decision or the parity vertices.
+#: the exact decision or the parity vertices.  A closure marks its visited
+#: pairs in (2·cap+1)(cap+1) bytes, cap = factor * max_den, so raising a
+#: factor costs memory quadratic in it, whatever the number of pairs
+#: visited (ORBIT_EXPANSION at max_den 40: 13 MB).
 ORBIT_EXPANSION = 64
 TRIANGLE_EXPANSION = 4
 #: Denominator bounds of the cubic T(4) triple check and of the exhaustive
@@ -164,21 +166,33 @@ def t_sequence_by_runs(r: Slope) -> Seq:
 
 def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
              max_den: int, expansion: int) -> set[Slope]:
-    """BFS closure over (num, den) pairs, pruning beyond max(|num|, den) <=
-    expansion * max_den; returns the slopes of denominator <= max_den."""
+    """Closure of the seeds over (num, den) pairs, pruning beyond
+    max(|num|, den) <= cap = expansion * max_den; returns the slopes of
+    denominator <= max_den.
+
+    Visited pairs are marked in one bytearray of (2·cap+1)(cap+1) bytes,
+    indexed by (num + cap)(cap + 1) + den, with ∞ stored as (1, 0).  The
+    memory cost thus depends on cap alone, not on how many pairs are
+    visited, and a slope joins the result when it is first visited.
+    """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     cap = expansion * max_den
+    width = cap + 1
     gens = [g.entries() for g in generators]
-    seen: set[tuple[int, int]] = set()
-    queue: deque[tuple[int, int]] = deque()
+    seen = bytearray((2 * cap + 1) * width)
+    stack: list[tuple[int, int]] = []
+    found: set[Slope] = set()
     for s in seeds:
-        t = (s.num, s.den)
-        if max(abs(t[0]), t[1]) <= cap and t not in seen:
-            seen.add(t)
-            queue.append(t)
-    while queue:
-        x, y = queue.popleft()
+        x, y = s.num, s.den
+        i = (x + cap) * width + y
+        if max(abs(x), y) <= cap and not seen[i]:
+            seen[i] = 1
+            stack.append((x, y))
+            if y <= max_den:
+                found.add(s)
+    while stack:
+        x, y = stack.pop()
         for a, b, c, d in gens:
             nx = a * x + b * y
             ny = c * x + d * y
@@ -189,11 +203,13 @@ def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
             # Unimodular maps preserve coprimality, so no gcd reduction.
             if nx > cap or nx < -cap or ny > cap:
                 continue
-            t = (nx, ny)
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return {Slope(x, y) for x, y in seen if 0 < y <= max_den or y == 0}
+            i = (nx + cap) * width + ny
+            if not seen[i]:
+                seen[i] = 1
+                stack.append((nx, ny))
+                if ny <= max_den:
+                    found.add(Slope(nx, ny))
+    return found
 
 
 def orbit_closure(r: Slope, seeds: Iterable[Slope], max_den: int) -> set[Slope]:
@@ -568,7 +584,7 @@ def _replays(s: Slope, r: Slope, steps: Iterable[Step], result: Slope) -> bool:
 
 
 def check_decision_oracle(max_r_den: int = 20, max_s_den: int = 40) -> CheckResult:
-    """The exact decision agrees with breadth-first orbit closure; the
+    """The exact decision agrees with the exhaustive orbit closure; the
     fundamental representative is idempotent and certified by its trace;
     scans match the closure; folding by 2 or negating changes nothing."""
     f = _Failures()

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from collections import deque
 from itertools import cycle
 
 import pytest
@@ -298,6 +302,81 @@ def test_orbit_closure_complete_at_every_bound():
             orbit = orbit_closure(r, {r, INFINITY}, bound)
             for s in farey_interval(bound) + [INFINITY]:
                 assert (s in orbit) == classify_orbit(s, r).answer, (s, r, bound)
+
+
+def _tuple_set_closure(generators, seeds, max_den, expansion):
+    """Reference closure: breadth-first over a set of (num, den) tuples,
+    with the pruning of the library oracle.  Returns the slopes of
+    denominator <= max_den and the set of visited pairs."""
+    cap = expansion * max_den
+    gens = [g.entries() for g in generators]
+    seen = {(s.num, s.den) for s in seeds if max(abs(s.num), s.den) <= cap}
+    queue = deque(seen)
+    while queue:
+        x, y = queue.popleft()
+        for a, b, c, d in gens:
+            nx, ny = a * x + b * y, c * x + d * y
+            if ny < 0:
+                nx, ny = -nx, -ny
+            elif ny == 0:
+                nx = 1
+            if max(abs(nx), ny) <= cap and (nx, ny) not in seen:
+                seen.add((nx, ny))
+                queue.append((nx, ny))
+    return {Slope(x, y) for x, y in seen if y <= max_den}, seen
+
+
+def test_orbit_closures_match_tuple_set_reference():
+    # The library marks visited pairs in a flat array indexed by
+    # (num + cap, den); the edges of that array (num = ±cap, den = cap,
+    # and ∞ stored as (1, 0)) must all be reached by some closure below.
+    half = Slope(1, 2)
+    triangle = [reflection_in_edge(INFINITY, ZERO), reflection_in_edge(INFINITY, ONE),
+                reflection_in_edge(ZERO, ONE)]
+    edges = set()
+    for max_den in (1, 2, 5, 20):
+        cases = []
+        for r in (half, Slope(1, 3), Slope(2, 3), Slope(2, 5), Slope(3, 7), Slope(5, 13)):
+            r1, r2 = fundamental_endpoints(r)
+            gens = triangle[:2] + [reflection_in_edge(r, r1), reflection_in_edge(r, r2)]
+            for seeds in ({r, INFINITY}, {half}):
+                cases.append((orbit_closure(r, seeds, max_den), gens, seeds,
+                              verification.ORBIT_EXPANSION))
+        for seeds in ({ZERO}, {ONE}, {INFINITY}, {half}):
+            cases.append((triangle_orbit_closure(seeds, max_den), triangle, seeds,
+                          verification.TRIANGLE_EXPANSION))
+        for got, gens, seeds, expansion in cases:
+            expected, seen = _tuple_set_closure(gens, seeds, max_den, expansion)
+            assert got == expected, (seeds, max_den, expansion)
+            cap = expansion * max_den
+            if len(edges) < 4:
+                edges.update(name for name, hit in (
+                    ("num=cap", any(x == cap for x, _ in seen)),
+                    ("num=-cap", any(x == -cap for x, _ in seen)),
+                    ("den=cap", any(y == cap for _, y in seen)),
+                    ("inf", (1, 0) in seen)) if hit)
+    assert edges == {"num=cap", "num=-cap", "den=cap", "inf"}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_decision_oracle_peak_memory_stays_flat():
+    """check_decision_oracle(20, 20) in a fresh interpreter raises the
+    peak RSS by under 40 MiB.  On a 2-core x86-64 machine with Python
+    3.11.7 it raised it by 120 MiB (14.5 → 134.3 MiB) while the closure
+    kept a set of visited tuples, and by 5 MiB (14.5 → 19.5 MiB) with the
+    flat visited array."""
+    src = os.path.dirname(os.path.dirname(verification.__file__))
+    code = (f"import resource, sys; sys.path.insert(0, {src!r})\n"
+            "from twobridge.verification import check_decision_oracle\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert check_decision_oracle(20, 20).passed\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(after - before)\n")
+    run = subprocess.run([sys.executable, "-I", "-c", code],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 40 * 1024, f"peak RSS grew by {run.stdout.strip()} KiB"
 
 
 def test_classification_partitions_like_orbits():
