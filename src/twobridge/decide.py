@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 
 from .reflections import Verdict, classify_orbit
-from .slopes import INFINITY, ZERO, Slope, cf_expand, farey_interval
+from .slopes import INFINITY, ZERO, Slope, farey_interval
 
 
 class ScanMode(enum.Enum):
@@ -37,19 +37,6 @@ def has_umpp_epimorphism(s: Slope, r: Slope) -> bool:
     if classify_orbit(s, r).answer:
         return True
     return classify_orbit(s - 1 if s > ZERO else s + 1, r).answer
-
-
-def connection_criterion(s: Slope, r: Slope) -> bool:
-    """Continued-fraction test for s = [l1..lt] against r = [m1..mk]:
-    t >= k, the first k-1 terms agree, and lk >= mk or (lk = mk - 1 with
-    t > k).  For s in (0,1] this holds exactly when r1 < s < r2."""
-    ls = cf_expand(s)
-    ms = cf_expand(r)
-    k, t = len(ms), len(ls)
-    if t < k or ls[:k - 1] != ms[:k - 1]:
-        return False
-    lk, mk = ls[k - 1], ms[k - 1]
-    return lk >= mk or (lk == mk - 1 and t > k)
 
 
 def scan(r: Slope, max_den: int, mode: ScanMode = ScanMode.NULLHOMOTOPY) -> list[Slope]:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .slopes import ONE, ZERO, Slope
-from .seqs import count_cyclic_factor, decompose, s_sequence
+from .slopes import ONE, ZERO, Slope, fundamental_endpoints
+from .seqs import decompose
 from .words import (
     canonical_rotation,
     inverse_word,
@@ -206,12 +206,11 @@ def satisfies_necessary_condition(s: Slope, r: Slope) -> bool:
     """Whether the cyclic S-sequence of s contains (S1,S2) or (S2,S1) of r
     as a contiguous cyclic factor: a necessary condition for the loop of
     slope s to be null-homotopic in the link complement of slope r.
+
+    Read off the slopes: exactly when r1 < s < r2 and, if r = 1/m, ⌊1/s⌋ <= m;
+    the criterion-equivalences suite checks this against the factor search.
     """
     if not (ZERO < s <= ONE):
         raise ValueError(f"condition applies to s in (0,1], got {s}")
-    d = decompose(r)
-    needle_a = d.s1 + d.s2
-    needle_b = d.s2 + d.s1
-    haystack = s_sequence(s)  # one rotation of CS(s) is enough to search
-    return (count_cyclic_factor(haystack, needle_a) > 0
-            or count_cyclic_factor(haystack, needle_b) > 0)
+    r1, r2 = fundamental_endpoints(r)
+    return r1 < s < r2 and (r.num != 1 or s.den // s.num <= r.den)

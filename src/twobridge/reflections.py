@@ -38,7 +38,7 @@ from .slopes import (
 #: fold per step of a parabolic, so long cusp reductions hit this bound.
 #: A cusp run is emitted in closed form yet counts every fold it stands
 #: for, and raises before building any step if it would reach the bound.
-MAX_FOLD_ROUNDS = 10000
+MAX_FOLD_ROUNDS = 2 ** 16
 
 
 class CapExceededError(RuntimeError):

@@ -218,18 +218,6 @@ def fundamental_endpoints(r: Slope) -> tuple[Slope, Slope]:
     return r1, r2
 
 
-def in_fundamental_intervals(s: Slope, r: Slope) -> bool:
-    """Whether s lies in I1 ∪ I2 = [0, r1] ∪ [r2, 1] for the given r."""
-    r1, r2 = fundamental_endpoints(r)
-    if s.is_infinite:
-        return False
-    return (ZERO <= s <= r1) or (r2 <= s <= ONE)
-
-
-def mediant(a: Slope, b: Slope) -> Slope:
-    return Slope(a.num + b.num, a.den + b.den)
-
-
 def parity_vertex(s: Slope) -> Slope:
     """The vertex 0, 1 or ∞ in the orbit of s under the full reflection
     group of the tessellation.

@@ -7,11 +7,12 @@ raising, so the CLI can print one pass/fail line per suite.
 
 The independent oracles live here and nowhere on the library's hot path:
 the floor-formula and line-walk relator words, the ceiling and strip
-counts of the S-sequence, the run count of the T-sequence, exhaustive
-orbit closures, the symmetrized set and the brute-force piece scan over
-it (longest piece prefixes, the piece length table and the n-piece
-enumeration), the initial-letter spread, and the calls to the cubic T(4)
-triple check.
+counts of the S-sequence, the run count of the T-sequence, the mediant
+and fundamental-interval tests, the continued-fraction criterion and the
+(S1,S2)-factor search of the gap, exhaustive orbit closures, the
+symmetrized set and the brute-force piece scan over it (longest piece
+prefixes, the piece length table and the n-piece enumeration), the
+initial-letter spread, and the calls to the cubic T(4) triple check.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable
 
-from .decide import connection_criterion, has_umpp_epimorphism, is_null_homotopic, scan
+from .decide import has_umpp_epimorphism, is_null_homotopic, scan
 from .pieces import (
     Span,
     min_piece_factorization,
@@ -51,8 +52,6 @@ from .slopes import (
     cf_value,
     farey_interval,
     fundamental_endpoints,
-    in_fundamental_intervals,
-    mediant,
     parity_vertex,
 )
 from .words import (
@@ -162,6 +161,38 @@ def t_sequence_by_runs(r: Slope) -> Seq:
     majority = terms[0] + 1 if terms[1] == 1 else terms[0]
     return tuple(sum(1 for _ in run) for term, run in groupby(s_sequence(r))
                  if term == majority)
+
+
+def mediant(a: Slope, b: Slope) -> Slope:
+    return Slope(a.num + b.num, a.den + b.den)
+
+
+def in_fundamental_intervals(s: Slope, r: Slope) -> bool:
+    """Whether s lies in I1 ∪ I2 = [0, r1] ∪ [r2, 1] for the given r."""
+    r1, r2 = fundamental_endpoints(r)
+    return (ZERO <= s <= r1) or (r2 <= s <= ONE)  # ∞ exceeds every rational
+
+
+def connection_criterion(s: Slope, r: Slope) -> bool:
+    """Continued-fraction test for s = [l1..lt] against r = [m1..mk]:
+    t >= k, the first k-1 terms agree, and lk >= mk or (lk = mk - 1 with
+    t > k).  For s in (0,1] this holds exactly when r1 < s < r2."""
+    ls = cf_expand(s)
+    ms = cf_expand(r)
+    k, t = len(ms), len(ls)
+    if t < k or ls[:k - 1] != ms[:k - 1]:
+        return False
+    lk, mk = ls[k - 1], ms[k - 1]
+    return lk >= mk or (lk == mk - 1 and t > k)
+
+
+def factor_condition_by_search(s_terms: Seq, r: Slope) -> bool:
+    """Whether CS(s), given by the rotation s_terms = S(s), contains (S1,S2)
+    or (S2,S1) of r as a cyclic factor, by string search: the oracle for
+    ``pieces.satisfies_necessary_condition``."""
+    d = decompose(r)
+    return (count_cyclic_factor(s_terms, d.s1 + d.s2) > 0
+            or count_cyclic_factor(s_terms, d.s2 + d.s1) > 0)
 
 
 def _closure(generators: Iterable[Reflection], seeds: Iterable[Slope],
@@ -381,12 +412,6 @@ def _proper_fractions(max_den: int) -> Iterable[Slope]:
                 yield Slope(q, p)
 
 
-def _unit_fractions(max_den: int) -> Iterable[Slope]:
-    """All q/p with 0 < q/p <= 1 and p <= max_den."""
-    yield ONE
-    yield from _proper_fractions(max_den)
-
-
 def check_worked_examples() -> CheckResult:
     """Fixed-value checks for the documented worked examples."""
     f = _Failures()
@@ -426,7 +451,7 @@ def check_word_generators(max_p: int = 300) -> CheckResult:
     cyclically equal to their own inverse, and S(relator) = S(slope) on
     (0,1]."""
     f = _Failures()
-    for r in _unit_fractions(max_p):
+    for r in farey_interval(max_p)[1:]:
         u = relator(r)
         u_floor = relator_by_floor(r)
         u_walk = relator_by_line_walk(r)
@@ -513,7 +538,7 @@ def _check_sequence_theorems_for(f: _Failures, r: Slope) -> None:
 def check_sequence_theorems(max_p: int = 200) -> CheckResult:
     """Exhaustive sequence identities for all slopes q/p with p <= max_p."""
     f = _Failures()
-    for r in _unit_fractions(max_p):
+    for r in farey_interval(max_p)[1:]:
         _check_sequence_theorems_for(f, r)
     return f.result("sequence-theorems")
 
@@ -632,15 +657,17 @@ def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60) -> Ch
     group of 1/2 is free abelian, so the loop of slope 1/4 bounds, yet
     ((4,4)) has no factor (2).  The exact characterization there is
     "inside the gap with leading partial quotient at most m", which is
-    what this suite checks.
+    what this suite checks.  The factor condition is the search over CS(s),
+    with S(s) built once per s; the library's slope formula must equal it.
     """
     f = _Failures()
-    s_pool = [(s, cf_expand(s)[0]) for s in _unit_fractions(max_s_den)]
+    s_pool = [(s, cf_expand(s)[0], s_sequence(s)) for s in farey_interval(max_s_den)[1:]]
     for r in _proper_fractions(max_r_den):
         r1, r2 = fundamental_endpoints(r)
         terms = cf_expand(r)
-        for s, s_lead in s_pool:
-            snc = satisfies_necessary_condition(s, r)
+        for s, s_lead, s_terms in s_pool:
+            snc = factor_condition_by_search(s_terms, r)
+            formula = satisfies_necessary_condition(s, r)
             conn = connection_criterion(s, r)
             gap = r1 < s < r2
             f.expect(conn == gap, f"criterion vs gap at s={s} r={r}")
@@ -648,11 +675,11 @@ def check_criterion_equivalences(max_r_den: int = 30, max_s_den: int = 60) -> Ch
             if null:
                 f.expect(gap, f"null-homotopic outside gap at s={s} r={r}")
             if len(terms) > 1:
-                f.expect(snc == conn, f"factor condition vs criterion at s={s} r={r}")
+                f.expect(formula == snc == conn, f"factor condition vs criterion at s={s} r={r}")
                 if null:
                     f.expect(snc, f"necessary-condition soundness at s={s} r={r}")
             else:
-                f.expect(snc == (gap and s_lead <= terms[0]),
+                f.expect(formula == snc == (gap and s_lead <= terms[0]),
                          f"single-term factor characterization at s={s} r={r}")
     return f.result("criterion-equivalences")
 
@@ -687,7 +714,7 @@ def check_automorphism_shift(max_s_den: int = 100) -> CheckResult:
     representative of the relator of s+1 or its inverse (the relator of
     s+1 being read off the lattice line walk)."""
     f = _Failures()
-    for s in _unit_fractions(max_s_den):
+    for s in farey_interval(max_s_den)[1:]:
         shifted = apply_automorphism(relator(s), "a", "B")
         target = relator_by_line_walk(s + 1)
         f.expect(cyclic_equal(shifted, target, allow_inverse=True),
@@ -706,15 +733,14 @@ def check_automorphism_shift(max_s_den: int = 100) -> CheckResult:
 
 def run_all(max_den: int = 20) -> list[CheckResult]:
     """Run every suite with its bounds capped at max_den."""
-    cap = max_den
     return [
         check_worked_examples(),
-        check_word_generators(max_p=min(300, cap)),
-        check_sequence_theorems(max_p=min(200, cap)),
-        check_small_cancellation(max_p=min(50, cap)),
-        check_decision_oracle(max_r_den=min(20, cap), max_s_den=min(40, cap)),
-        check_criterion_equivalences(max_r_den=min(30, cap),
-                                     max_s_den=min(60, cap)),
-        check_special_slopes(max_s_den=min(40, cap)),
-        check_automorphism_shift(max_s_den=min(100, cap)),
+        check_word_generators(max_p=min(300, max_den)),
+        check_sequence_theorems(max_p=min(200, max_den)),
+        check_small_cancellation(max_p=min(50, max_den)),
+        check_decision_oracle(max_r_den=min(20, max_den), max_s_den=min(40, max_den)),
+        check_criterion_equivalences(max_r_den=min(30, max_den),
+                                     max_s_den=min(60, max_den)),
+        check_special_slopes(max_s_den=min(40, max_den)),
+        check_automorphism_shift(max_s_den=min(100, max_den)),
     ]

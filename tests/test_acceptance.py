@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 from twobridge import verification as V
-from twobridge.decide import connection_criterion, is_null_homotopic
+from twobridge.decide import is_null_homotopic
 from twobridge.pieces import satisfies_necessary_condition
 from twobridge.slopes import Slope
 
@@ -76,7 +76,7 @@ def test_criterion_6_criterion_equivalences_as_stated():
         for s in s_grid:
             snc = satisfies_necessary_condition(s, r)
             checks += 1
-            if snc != connection_criterion(s, r):
+            if snc != V.connection_criterion(s, r):
                 failures.append(f"factor condition vs criterion at s={s} r={r}")
             if is_null_homotopic(s, r).answer:
                 checks += 1

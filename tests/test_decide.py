@@ -5,13 +5,13 @@ import pytest
 from twobridge.slopes import INFINITY, ONE, ZERO, Slope, cf_value, farey_interval
 from twobridge.decide import (
     ScanMode,
-    connection_criterion,
     has_umpp_epimorphism,
     is_null_homotopic,
     scan,
 )
 from twobridge.pieces import satisfies_necessary_condition
 from twobridge.reflections import Reflection, Route, reduce_to_fundamental
+from twobridge.verification import connection_criterion
 
 
 def test_null_homotopy_examples():

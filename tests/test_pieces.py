@@ -3,9 +3,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from twobridge import pieces, verification
-from twobridge.slopes import ONE, Slope, ZERO
+from twobridge import pieces, seqs, verification
+from twobridge.seqs import decompose, s_sequence
+from twobridge.slopes import ONE, Slope, ZERO, cf_expand, cf_value
 from twobridge.pieces import (
     min_piece_factorization,
     piece_product_catalog,
@@ -16,6 +18,7 @@ from twobridge.pieces import (
 )
 from twobridge.verification import (
     check_small_cancellation,
+    factor_condition_by_search,
     initial_letter_spread,
     is_piece,
     longest_piece_prefix,
@@ -229,3 +232,46 @@ def test_necessary_condition_fails_on_fundamental_intervals():
                     s = Slope(sq, sp)
                     if s <= r1 or s >= r2:
                         assert not satisfies_necessary_condition(s, r)
+
+
+@st.composite
+def factor_condition_cases(draw):
+    """r = q/p with p <= 10^4, single-term (1/m) or multi-term, and s in
+    (0,1] with denominator <= 2*10^4: anywhere, or near the ends of the
+    gap, by moving one term of r's expansion by at most 1 and extending
+    it.  Without the extension the moved prefix has denominator <= 2p."""
+    if draw(st.booleans()):
+        r = Slope(1, draw(st.integers(2, 10 ** 4)))
+    else:
+        p = draw(st.integers(3, 10 ** 4))
+        r = Slope(draw(st.integers(2, p - 1)), p)
+        if r.num == 1:  # q and p shared a factor
+            r = Slope(p - 1, p)
+    if draw(st.booleans()):
+        terms = cf_expand(r)
+        j = draw(st.integers(1, len(terms)))
+        head = terms[:j - 1] + (max(1, terms[j - 1] + draw(st.integers(-1, 1))),)
+        s = cf_value(head + tuple(draw(st.lists(st.integers(1, 4), max_size=2))))
+        if s.den > 2 * 10 ** 4:
+            s = cf_value(head)
+    else:
+        p = draw(st.integers(1, 2 * 10 ** 4))
+        s = Slope(draw(st.integers(1, p)), p)
+    return r, s
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(factor_condition_cases())
+def test_factor_condition_matches_search(case):
+    # The slope formula equals the factor search over CS(s), and builds no
+    # S-sequence on the way.  About 0.5 s on a 2-core machine.
+    r, s = case
+
+    def refuse(x):
+        raise AssertionError(f"S({x}) built by the factor condition")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqs, "s_sequence", refuse)
+        decompose.cache_clear()
+        answer = satisfies_necessary_condition(s, r)
+    assert answer == factor_condition_by_search(s_sequence(s), r), (s, r)

@@ -156,12 +156,12 @@ def test_reduce_trace_json():
 
 def test_reduce_round_cap_boundary():
     # At the cusp 0 of r = 1/2 each fold moves 1/n by one step of a
-    # parabolic: 1/19999 needs 9,999 folds, one below the cap; 1/20003
-    # needs more.
-    tr = reduce_to_fundamental(Slope(1, 19999), Slope(1, 2))
-    assert len(tr.steps) == 9999 and tr.result == ONE
+    # parabolic: 1/131071 needs 65,535 folds, one below the cap of 2^16;
+    # 1/131075 needs more.
+    tr = reduce_to_fundamental(Slope(1, 131071), Slope(1, 2))
+    assert len(tr.steps) == MAX_FOLD_ROUNDS - 1 and tr.result == ONE
     with pytest.raises(CapExceededError):
-        reduce_to_fundamental(Slope(1, 20003), Slope(1, 2))
+        reduce_to_fundamental(Slope(1, 131075), Slope(1, 2))
 
 
 def _alternating_reference(s, r):
@@ -176,9 +176,9 @@ def _alternating_reference(s, r):
             break
         steps.extend(more)
         rounds += 1
-        if rounds == MAX_FOLD_ROUNDS:
+        if rounds == reflections.MAX_FOLD_ROUNDS:
             raise CapExceededError(
-                f"reduction of {s} at {r} exceeded {MAX_FOLD_ROUNDS} rounds")
+                f"reduction of {s} at {r} exceeded {reflections.MAX_FOLD_ROUNDS} rounds")
     return ReductionTrace(s, tuple(steps), cur)
 
 
@@ -206,7 +206,10 @@ def _cusp_slopes(m, rng):
                 yield rng.choice(near_0), rng.choice(near_1)
 
 
-def test_cusp_runs_match_alternating_reference():
+def test_cusp_runs_match_alternating_reference(monkeypatch):
+    # At a cap of 10^4 the deep cases sit just below and just above it
+    # while the one-fold-per-round reference stays fast.
+    monkeypatch.setattr(reflections, "MAX_FOLD_ROUNDS", 10000)
     rng = random.Random(20261019)
     for m in range(2, 13):
         for r, cusps in ((Slope(1, m), (ZERO,)), (Slope(m - 1, m), (ONE,))):

@@ -13,13 +13,11 @@ from twobridge.slopes import (
     cf_value,
     farey_interval,
     fundamental_endpoints,
-    in_fundamental_intervals,
-    mediant,
     parse_slope,
     parity_vertex,
     schubert_equivalent,
 )
-from twobridge.verification import triangle_orbit_closure
+from twobridge.verification import in_fundamental_intervals, mediant, triangle_orbit_closure
 
 
 def test_slope_normalization():
