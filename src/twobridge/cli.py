@@ -18,7 +18,7 @@ from . import verification
 from .decide import ScanMode, has_umpp_epimorphism, is_null_homotopic, scan
 from .reflections import CapExceededError
 from .seqs import (
-    CyclicSequence,
+    cyclic_s_sequence,
     decompose,
     format_sequence,
     s_sequence,
@@ -77,7 +77,7 @@ def _cmd_seq(args) -> int:
     if r.is_infinite or r <= ZERO:
         raise ValueError("seq needs a positive rational slope")
     s = s_sequence(r)
-    cs = CyclicSequence(s)
+    cs = cyclic_s_sequence(r)
     lines = [f"S = {format_sequence(s)}", f"CS = {cs}"]
     obj = {"r": str(r), "s": list(s), "cs": list(cs.terms)}
     if len(cf_expand(r)) >= 2:

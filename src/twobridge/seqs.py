@@ -16,7 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import islice, repeat
+from operator import floordiv, sub
+from typing import Callable, Sequence
 
 from .slopes import (
     ONE,
@@ -64,9 +66,16 @@ def format_sequence(seq: Sequence[int]) -> str:
     return "(" + ",".join(str(t) for t in seq) + ")"
 
 
+def _floor_steps(q: int, p: int, shift: int) -> Seq:
+    """(⌊(jp − shift)/q⌋ − ⌊((j−1)p − shift)/q⌋ for j = 1..q)."""
+    fs = list(map(floordiv, range(-shift, q * p - shift + 1, p), repeat(q)))
+    return tuple(map(sub, islice(fs, 1, None), fs))
+
+
 def s_sequence(r: Slope) -> Seq:
     """S-sequence of a positive rational slope q/p (length 2q): the j-th
-    term is ⌊jp/q⌋* − ⌊(j−1)p/q⌋*, j = 1..2q.
+    term is ⌊jp/q⌋* − ⌊(j−1)p/q⌋*, j = 1..2q, where ⌊x⌋* = ⌈x⌉ − 1.  The
+    (j+q)-th term equals the j-th, so it is its first q terms twice.
 
     For 0 < r <= 1 this equals the S-sequence of the relator word of r;
     for r > 1 zero terms may appear.
@@ -75,12 +84,25 @@ def s_sequence(r: Slope) -> Seq:
     (4, 4, 4, 3, 4, 4, 3, 4, 4, 3, 4, 4, 4, 3, 4, 4, 3, 4, 4, 3)
     """
     q, p = _positive_pair(r)
-    fs = [(j * p - 1) // q for j in range(2 * q + 1)]  # ⌊jp/q⌋* via (n-1)//q
-    return tuple(fs[j] - fs[j - 1] for j in range(1, 2 * q + 1))
+    half = _floor_steps(q, p, 1)  # ⌊n/q⌋* = (n − 1)//q for integer n
+    return half + half
 
 
 def cyclic_s_sequence(r: Slope) -> CyclicSequence:
-    return CyclicSequence(s_sequence(r))
+    """CS(r), the cyclic S-sequence, in closed form: its least rotation is
+    C + C for the lower Christoffel word C_j = ⌊jp/q⌋ − ⌊(j−1)p/q⌋,
+    j = 1..q, because a Christoffel word is the least of its rotations
+    (Berstel, Lauve, Reutenauer, Saliola, "Combinatorics on Words:
+    Christoffel Words and Repetitions in Words", 2008).
+
+    >>> cyclic_s_sequence(Slope(10, 37)).terms[:10]
+    (3, 4, 4, 3, 4, 4, 3, 4, 4, 4)
+    """
+    q, p = _positive_pair(r)
+    c = _floor_steps(q, p, 0)
+    cs = object.__new__(CyclicSequence)  # already least: skip the search
+    object.__setattr__(cs, "terms", c + c)
+    return cs
 
 
 def t_sequence(r: Slope) -> Seq:
@@ -147,10 +169,37 @@ def decompose(r: Slope) -> Decomposition:
         raise AssertionError(f"S1 must start and end with m+1 for {r}")
     if not (s2[0] == s2[-1] == m):
         raise AssertionError(f"S2 must start and end with m for {r}")
+    count = _cyclic_factor_counter(s)
     for part in (s1, s2):
-        if part and count_cyclic_factor(s, part) != 2:
+        if part and count(part) != 2:
             raise AssertionError(f"decomposition half occurs != 2 times for {r}")
     return Decomposition(s1, s2)
+
+
+def _cyclic_factor_counter(haystack: Sequence[int]) -> Callable[[Seq], int]:
+    """``count_cyclic_factor(haystack, needle)`` as a function of needle,
+    with the haystack encoded once for every needle."""
+    # Terms of any size coded as characters of their rank, so the search
+    # runs on C string primitives.
+    codes = {v: chr(i) for i, v in enumerate(sorted(set(haystack)))}
+    n = len(haystack)
+    hay = "".join(map(codes.__getitem__, haystack)) * 2  # matches may wrap
+
+    def count(needle: Seq) -> int:
+        if not needle:
+            raise ValueError("needle must be non-empty")
+        if len(needle) > n or not codes.keys() >= set(needle):
+            return 0
+        pat = "".join(map(codes.__getitem__, needle))
+        end = n + len(pat) - 1  # a match starts at one of the first n places
+        found = 0
+        pos = hay.find(pat, 0, end)
+        while pos != -1:
+            found += 1
+            pos = hay.find(pat, pos + 1, end)
+        return found
+
+    return count
 
 
 def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
@@ -161,21 +210,4 @@ def count_cyclic_factor(haystack: Sequence[int], needle: Seq) -> int:
     >>> count_cyclic_factor((1, 2, 3), (3, 1))
     1
     """
-    if not needle:
-        raise ValueError("needle must be non-empty")
-    if len(needle) > len(haystack):
-        return 0
-    # Terms of any size coded as characters of their rank, so the search
-    # runs on C string primitives.
-    codes = {v: chr(i) for i, v in enumerate(sorted(set(haystack)))}
-    if not codes.keys() >= set(needle):
-        return 0
-    hay = "".join(map(codes.__getitem__, haystack))
-    dd = hay + hay[:len(needle) - 1]  # a match may wrap around the end
-    pat = "".join(map(codes.__getitem__, needle))
-    count = 0
-    pos = dd.find(pat)
-    while pos != -1:
-        count += 1
-        pos = dd.find(pat, pos + 1)
-    return count
+    return _cyclic_factor_counter(haystack)(needle)

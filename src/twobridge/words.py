@@ -12,6 +12,8 @@ them (a rotation, the inverse, a letter-automorphism image) is too.
 
 from __future__ import annotations
 
+from itertools import cycle, islice, repeat
+from operator import floordiv
 from typing import Sequence
 
 from .slopes import ONE, ZERO, Slope, _positive_pair
@@ -83,12 +85,31 @@ def cyclic_equal(w1: str, w2: str, allow_inverse: bool = False) -> bool:
     return False
 
 
+_SWAP_GENERATORS = str.maketrans("abAB", "baBA")
+
+
+def _first_half(q: int, p: int) -> str:
+    """Letters 0..p−1 of the relator of q/p, coprime with 0 < q <= p.
+
+    Letter i is a or b as i is even or odd, negated when ⌊iq/p⌋ is odd.
+    The k-th sign run holds the letters with ⌊iq/p⌋ = k, from ⌈kp/q⌉ to
+    ⌈(k+1)p/q⌉, so the word is q slices taken in turn from "abab…" and
+    "ABAB…".
+    """
+    pos = "ab" * ((p + 1) // 2)
+    # ⌈kp/q⌉ = (kp + q − 1)//q for k = 0..q; the last is p.
+    starts = list(map(floordiv, range(q - 1, q * p + q, p), repeat(q)))
+    return "".join(map(str.__getitem__, cycle((pos, pos.upper())),
+                       map(slice, starts, islice(starts, 1, None))))
+
+
 def half_relator(r: Slope) -> str:
     """Word read off the open segment from (0,0) to (p,q), 0 < q/p <= 1.
 
     The segment of slope q/p crosses the vertical lattice lines
     x = 1, ..., p-1; the i-th crossing contributes b or a (i odd/even)
-    with sign (-1)^⌊iq/p⌋.  Empty when p = 1.
+    with sign (-1)^⌊iq/p⌋.  Empty when p = 1.  These are letters 1..p−1
+    of the relator.
 
     >>> half_relator(Slope(4, 7))
     'bABabA'
@@ -96,11 +117,7 @@ def half_relator(r: Slope) -> str:
     q, p = _positive_pair(r)
     if q > p:
         raise ValueError(f"half relator needs a slope in (0,1], got {r}")
-    out = []
-    for i in range(1, p):
-        gen = "b" if i & 1 else "a"
-        out.append(gen.upper() if (i * q) // p & 1 else gen)
-    return "".join(out)
+    return _first_half(q, p)[1:]
 
 
 def relator(r: Slope) -> str:
@@ -109,7 +126,10 @@ def relator(r: Slope) -> str:
 
     Defined for r in (0,1] (an alternating, cyclically reduced word of
     length 2p) plus the degenerate slopes: relator(0) = "ab" and
-    relator(∞) = "" (the empty word).
+    relator(∞) = "" (the empty word).  It is Riley's form a · û · x · û⁻¹,
+    with û the half relator and x = b^(±1) for odd p and a⁻¹ for even p;
+    letter i (0-based) is a/b as i is even/odd, negated when ⌊iq/p⌋ is
+    odd.  The second half is the first under one letter substitution.
 
     >>> relator(Slope(4, 7))
     'abABabAbaBAbaB'
@@ -121,11 +141,11 @@ def relator(r: Slope) -> str:
     q, p = _positive_pair(r)
     if r > ONE:
         raise ValueError(f"relator is generated only for slopes in (0,1], got {r}")
-    # Riley's form a · û · x · û⁻¹, with x = b^(±1) for odd p and a⁻¹ for
-    # even p.
-    hat = half_relator(r)
-    middle = ("B" if q & 1 else "b") if p & 1 else "A"
-    return "a" + hat + middle + inverse_word(hat)
+    first = _first_half(q, p)
+    # Letter i + p is on the other generator when p is odd and has the
+    # other sign when q is odd, since ⌊(i + p)q/p⌋ = ⌊iq/p⌋ + q.
+    second = first.translate(_SWAP_GENERATORS) if p & 1 else first
+    return first + (second.swapcase() if q & 1 else second)
 
 
 _AUTOMORPHISM_NAMES = {

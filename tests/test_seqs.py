@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from twobridge.slopes import ONE, Slope, cf_expand
 from twobridge.seqs import (
@@ -15,11 +15,13 @@ from twobridge.seqs import (
     t_sequence,
 )
 from twobridge.verification import (
+    relator_by_floor,
+    relator_by_line_walk,
     s_sequence_by_ceiling_count,
     s_sequence_by_strip_count,
     t_sequence_by_runs,
 )
-from twobridge.words import relator
+from twobridge.words import half_relator, relator
 
 
 def test_s_sequence_of_word_examples():
@@ -206,3 +208,35 @@ def test_cyclic_sequence_rotation_invariant(terms, k):
     terms = tuple(terms)
     k %= len(terms)
     assert CyclicSequence(terms) == CyclicSequence(terms[k:] + terms[:k])
+
+
+@st.composite
+def coprime_pairs(draw):
+    """(q, p) coprime with 0 < q <= p <= 10^5: q = 1, q = p - 1, q near p/2
+    or anywhere."""
+    p = draw(st.integers(1, 10 ** 5))
+    q = draw(st.sampled_from([1, max(1, p - 1), max(1, p // 2), None]))
+    if q is None:
+        q = draw(st.integers(1, p))
+    while math.gcd(q, p) != 1:
+        q -= 1
+    return q, p
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(coprime_pairs(), st.booleans())
+def test_structure_kernels_match_oracles_at_scale(pair, above_one):
+    # The run-by-run relator, the half-period S(r) and the Christoffel
+    # closed form of CS(r) against the per-letter and per-term oracles and
+    # the generic least-rotation search; r = p/q > 1 for the sequences.
+    # About 1 s on a 2-core machine.
+    q, p = pair
+    r = Slope(q, p)
+    u = relator(r)
+    assert u == relator_by_floor(r) == relator_by_line_walk(r), r
+    assert half_relator(r) == u[1:p], r
+    if above_one:
+        r = Slope(p, q)
+    s = s_sequence(r)
+    assert s == s_sequence_by_ceiling_count(r), r
+    assert cyclic_s_sequence(r).terms == CyclicSequence(s).terms, r

@@ -17,7 +17,7 @@ from twobridge.words import (
     relator,
 )
 from twobridge.words import _least_rotation_start
-from twobridge.seqs import s_sequence, s_sequence_of_word
+from twobridge.seqs import cyclic_s_sequence, s_sequence, s_sequence_of_word
 from twobridge.verification import relator_by_floor, relator_by_line_walk
 
 words = st.text(alphabet="aAbB", max_size=40)
@@ -145,7 +145,20 @@ def test_least_rotation_start_matches_quadratic_reference():
             cases.append(tuple(period * (n // len(period) + 1)))
         else:
             cases.append(tuple(rng.randrange(alphabet) for _ in range(n)))
-    cases += [s_sequence(Slope(q, p)) for p in (7, 100, 1013, 10000)
+    slopes = [Slope(q, p) for p in (7, 100, 1013, 10000)
               for q in (1, 3, p // 3 + 1, p - 1) if math.gcd(q, p) == 1]
+    cases += [s_sequence(r) for r in slopes if r.den < 10000]
     for t in cases:
         assert _least_rotation_start(t) == least_rotation_start_by_slices(t), t
+    # S(r) is its primitive first half twice, so its least rotation starts
+    # at two places, the first inside that half.  At p = 10000 (up to 19,998
+    # terms) the linear Christoffel closed form of that rotation stands in
+    # for the quadratic reference; the two agree at p = 1013.
+    t = s_sequence(Slope(338, 1013))
+    i = least_rotation_start_by_slices(t)
+    assert t[i:] + t[:i] == cyclic_s_sequence(Slope(338, 1013)).terms
+    for r in slopes:
+        if r.den == 10000:
+            t = s_sequence(r)
+            i = _least_rotation_start(t)
+            assert i < r.num and t[i:] + t[:i] == cyclic_s_sequence(r).terms, r
